@@ -24,10 +24,12 @@ test:
 
 # Race job, mirroring CI: the full suite once, then the parallel-search
 # determinism suites repeated -count=3 (scheduling-order bugs rarely
-# show on a single run).
+# show on a single run), and the csp determinism property 200 more
+# times with one repeat per worker count (-short).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'Parallel|Clone|SharedBound|Portfolio' ./internal/csp ./internal/geost ./internal/core
+	$(GO) test -race -count=3 -run 'Parallel|Clone' ./internal/csp ./internal/geost ./internal/core
+	$(GO) test -race -short -count=200 -run 'TestParallelMatchesSequential$$' ./internal/csp
 	$(GO) test -race -count=3 -run 'MaximalEmptyRects|Session' ./internal/online ./internal/service
 
 vet:

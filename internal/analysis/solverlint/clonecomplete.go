@@ -8,12 +8,12 @@ import (
 // CloneComplete enforces the Clonable protocol that parallel search
 // depends on: any named type with a Propagate method (a propagator)
 // must also implement CloneFor, or Store.Clone rejects the whole store
-// and SolveParallel/MinimizeParallel stop working for every model that
-// posts the propagator. It additionally checks CloneFor bodies for
-// receiver-field aliasing: a composite literal or assignment that
-// copies a slice- or map-typed field straight from the receiver shares
-// mutable state between the original and the clone, which corrupts
-// concurrent workers. Immutable payload (lookup tables, geometry) may
+// and Solve/Minimize with Options.Workers > 1 stop working for every
+// model that posts the propagator. It additionally checks CloneFor
+// bodies for receiver-field aliasing: a composite literal or
+// assignment that copies a slice- or map-typed field straight from the
+// receiver shares mutable state between the original and the clone,
+// which corrupts concurrent workers. Immutable payload (lookup tables, geometry) may
 // be shared, but must say so with a //solverlint:allow clonecomplete
 // comment — the aliasing audit lives in the code, not in reviewers'
 // heads.

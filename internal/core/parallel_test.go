@@ -10,10 +10,13 @@ import (
 // TestPlacerParallelMatchesSequential checks the core-level contract
 // of Options.Workers: exhaustive parallel solves return the same
 // height AND the identical placement as the sequential solver, for
-// every strategy and worker count. This is the end-to-end counterpart
-// of the csp-level TestParallelMatchesSequential, driving the full
-// geost model (clone protocol, positional heuristics, id-based
-// snapshots) through worker goroutines; run it under -race.
+// every strategy and worker count. The static strategies guarantee
+// the placement; under first-fail the contract only fixes one
+// placement per instance, which here is the sequential one. This is
+// the end-to-end counterpart of the csp-level
+// TestParallelMatchesSequential, driving the full geost model (clone
+// protocol, positional heuristics, id-based snapshots) through worker
+// goroutines; run it under -race.
 func TestPlacerParallelMatchesSequential(t *testing.T) {
 	r := fabric.Homogeneous(6, 10).FullRegion()
 	mods := []*module.Module{

@@ -92,19 +92,16 @@ type Options struct {
 	// bus. Anchors violating this are removed up front.
 	BusRows []int
 	// Workers, when greater than 1, solves with parallel
-	// branch-and-bound on that many goroutines (csp.MinimizeParallel):
+	// branch-and-bound on that many goroutines (csp.Options.Workers):
 	// the search tree is split into subproblems explored on cloned
 	// stores against a shared incumbent. 0 or 1 keeps the sequential
-	// solver. Exhaustive parallel runs return the same height and the
-	// same placement as the sequential solver (ties are broken by
-	// subtree order, not arrival order); stalled or timed-out runs may
-	// differ, as with any anytime stop.
+	// solver. Exhaustive parallel runs return the sequential height and
+	// one placement for every run and every worker count: the first
+	// optimal placement of the earliest subtree holding the optimum.
+	// Under the static strategies that is the sequential placement;
+	// under first-fail it may differ. Stalled or timed-out runs may
+	// differ from run to run, as with any anytime stop.
 	Workers int
-	// Bound, when non-nil, couples this solve to other concurrent
-	// solves of the same objective (portfolio arms): the search prunes
-	// against the best height published by any participant and
-	// publishes its own improvements. See csp.Options.SharedBound.
-	Bound *csp.SharedBound
 	// StrongPropagation adds geost compulsory-part pruning to the
 	// pairwise non-overlap: objects whose remaining placements share a
 	// guaranteed footprint prune their neighbours before being
@@ -189,12 +186,10 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		StallNodes:  p.opts.StallNodes,
 		Recorder:    p.opts.Recorder,
 		Workers:     p.opts.Workers,
-		SharedBound: p.opts.Bound,
 	}
 	if p.opts.Timeout > 0 {
 		opts.Deadline = start.Add(p.opts.Timeout)
 	}
-	parallel := p.opts.Workers > 1
 
 	// snapshot reads the solution through variable ids, not through the
 	// objects' own pointers: under parallel search s is a clone of st,
@@ -274,16 +269,10 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 			snapshot(s, best)
 			return false
 		}
-		var sres csp.SearchResult
-		var err error
-		if parallel {
-			// Which complete placement is found first depends on worker
-			// scheduling; first-solution mode trades determinism for
-			// latency here.
-			sres, err = csp.SolveParallel(st, k.PlaceVars(), opts, onSolution)
-		} else {
-			sres, err = csp.Solve(st, k.PlaceVars(), opts, onSolution)
-		}
+		// With Workers > 1, which complete placement is found first
+		// depends on worker scheduling; first-solution mode trades
+		// determinism for latency there.
+		sres, err := csp.Solve(st, k.PlaceVars(), opts, onSolution)
 		if err != nil {
 			return nil, err
 		}
@@ -293,13 +282,7 @@ func (p *Placer) Place(mods []*module.Module) (*Result, error) {
 		res.Reason = sres.Reason
 		res.Optimal = false
 	} else {
-		var mres csp.MinimizeResult
-		var err error
-		if parallel {
-			mres, err = csp.MinimizeParallel(st, k.PlaceVars(), height, opts, snapshot)
-		} else {
-			mres, err = csp.Minimize(st, k.PlaceVars(), height, opts, snapshot)
-		}
+		mres, err := csp.Minimize(st, k.PlaceVars(), height, opts, snapshot)
 		if err != nil {
 			return nil, err
 		}

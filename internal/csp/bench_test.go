@@ -66,16 +66,16 @@ func BenchmarkSearchTraced(b *testing.B) {
 
 // BenchmarkSearchParallel measures branch-and-bound scaling over the
 // worker count on a fixed constrained-minimization instance. The
-// workers=1 case still goes through MinimizeParallel (split + one
-// worker goroutine), so comparing it against the higher counts
-// isolates parallel speedup from the parallel machinery's overhead.
+// workers=1 case is the sequential search (one job on the caller's
+// store, no split and no clone), so the higher counts show the
+// parallel speedup net of the split, clone and replay overhead.
 // Results feed the worker-scaling table in EXPERIMENTS.md.
 func BenchmarkSearchParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st, vars, obj := randomInstance(7, 12)
-				res, err := MinimizeParallel(st, vars, obj,
+				res, err := Minimize(st, vars, obj,
 					Options{Workers: workers, SplitDepth: 2}, nil)
 				if err != nil || !res.Found || !res.Optimal {
 					b.Fatalf("res=%+v err=%v", res, err)

@@ -1,8 +1,6 @@
 package csp
 
 import (
-	"math"
-	"sync"
 	"testing"
 )
 
@@ -126,65 +124,5 @@ func TestDomainBisectSparseHalvesPartition(t *testing.T) {
 	re.Union(hi)
 	if !re.Equal(d) {
 		t.Fatalf("halves do not re-union to original: %v vs %v", re, d)
-	}
-}
-
-func TestSharedBoundCASMinConcurrent(t *testing.T) {
-	const (
-		publishers = 8
-		perWorker  = 2000
-	)
-	b := NewSharedBound()
-	var wg sync.WaitGroup
-	for w := 0; w < publishers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each publisher walks its own descending sequence; the
-			// global minimum over all sequences is publishers (worker
-			// publishers-1 ends at offset 1 below 2*perWorker... the
-			// exact floor is computed below, what matters is that Get
-			// only ever decreases and ends at the true minimum.
-			for i := 0; i < perWorker; i++ {
-				b.Publish(2*perWorker - 2*i + w)
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Concurrent readers must observe a non-increasing sequence.
-		prev := math.MaxInt64
-		for i := 0; i < 10000; i++ {
-			cur := b.Get()
-			if cur > prev {
-				t.Errorf("SharedBound increased: %d -> %d", prev, cur)
-				return
-			}
-			prev = cur
-		}
-	}()
-	wg.Wait()
-	<-done
-	// Minimum published value: i = perWorker-1 gives 2*perWorker -
-	// 2*(perWorker-1) + w = 2 + w, minimised at w = 0.
-	if got := b.Get(); got != 2 {
-		t.Fatalf("final bound %d, want 2", got)
-	}
-	// Publishing a larger value after the fact must not regress it.
-	b.Publish(1000)
-	if got := b.Get(); got != 2 {
-		t.Fatalf("bound regressed to %d after stale publish", got)
-	}
-}
-
-func TestSharedBoundNilSafe(t *testing.T) {
-	var b *SharedBound
-	if got := b.Get(); got != math.MaxInt64 {
-		t.Fatalf("nil Get = %d, want MaxInt64", got)
-	}
-	b.Publish(5) // must not panic
-	if got := b.Get(); got != math.MaxInt64 {
-		t.Fatalf("nil Publish mutated bound: %d", got)
 	}
 }

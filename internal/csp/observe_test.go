@@ -1,6 +1,7 @@
 package csp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -25,13 +26,21 @@ func (l *eventLog) count(k obs.EventKind) int {
 }
 
 func TestSolveEmitsEvents(t *testing.T) {
-	log := &eventLog{}
-	st := NewStore()
-	q := postQueens(st, 6)
-	res, err := Solve(st, q, Options{Recorder: log}, func(*Store) bool { return true })
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) (SearchResult, *eventLog) {
+		log := &eventLog{}
+		st := NewStore()
+		q := postQueens(st, 6)
+		res, err := Solve(st, q, Options{Recorder: log, Workers: workers}, func(*Store) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The recorder is uninstalled after the search.
+		if st.Recorder() != nil {
+			t.Error("recorder left installed on store")
+		}
+		return res, log
 	}
+	res, log := run(0)
 	if got := log.count(obs.KindSolution); got != res.Solutions {
 		t.Errorf("solution events = %d, want %d", got, res.Solutions)
 	}
@@ -55,9 +64,28 @@ func TestSolveEmitsEvents(t *testing.T) {
 	if !attributed {
 		t.Error("no prune event attributed to csp.not-equal")
 	}
-	// The recorder is uninstalled after the search.
-	if st.Recorder() != nil {
-		t.Error("recorder left installed on store")
+	// Workers: 1 is the same single-job search as the default.
+	res1, log1 := run(1)
+	if res1 != res {
+		t.Errorf("Workers 1 result %+v, Workers 0 %+v", res1, res)
+	}
+	sameEvents(t, log1.events, log.events)
+}
+
+// sameEvents asserts a Workers: 1 event stream equals the Workers: 0
+// one, event for event, with no worker attribution.
+func sameEvents(t *testing.T, got, want []obs.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("Workers 1 emitted %d events, Workers 0 %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: Workers 1 %+v, Workers 0 %+v", i, got[i], want[i])
+		}
+		if got[i].Worker != 0 {
+			t.Fatalf("event %d carries worker %d on a single-job run", i, got[i].Worker)
+		}
 	}
 }
 
@@ -138,17 +166,21 @@ func TestMinimizeStopReasonDistinguishesCauses(t *testing.T) {
 }
 
 func TestMinimizeBestObjectiveTrace(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 9)
-	y := st.NewVarRange("y", 0, 9)
-	obj := st.NewVarRange("obj", 0, 18)
-	Sum(st, obj, x, y)
-	LessEqOffset(st, x, y, 2)
-	log := &eventLog{}
-	res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: DescendingValues}, nil)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) (MinimizeResult, *eventLog) {
+		st := NewStore()
+		x := st.NewVarRange("x", 0, 9)
+		y := st.NewVarRange("y", 0, 9)
+		obj := st.NewVarRange("obj", 0, 18)
+		Sum(st, obj, x, y)
+		LessEqOffset(st, x, y, 2)
+		log := &eventLog{}
+		res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: DescendingValues, Workers: workers}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, log
 	}
+	res, log := run(0)
 	if !res.Found || len(res.BestObjectiveTrace) == 0 {
 		t.Fatalf("no objective trace: %+v", res)
 	}
@@ -169,12 +201,32 @@ func TestMinimizeBestObjectiveTrace(t *testing.T) {
 	if got := log.count(obs.KindIncumbent); got != len(trace) {
 		t.Errorf("incumbent events = %d, trace length = %d", got, len(trace))
 	}
+	finalSeen := false
 	for _, e := range log.events {
 		if e.Kind == obs.KindIncumbent && e.Objective == last.Objective {
-			return
+			finalSeen = true
 		}
 	}
-	t.Error("final incumbent missing from event stream")
+	if !finalSeen {
+		t.Error("final incumbent missing from event stream")
+	}
+	// Workers: 1 is the same single-job search as the default: equal
+	// results and trace (up to wall-clock Elapsed) and event stream.
+	res1, log1 := run(1)
+	trace1 := res1.BestObjectiveTrace
+	if len(trace1) != len(trace) {
+		t.Fatalf("Workers 1 trace %+v, Workers 0 %+v", trace1, trace)
+	}
+	for i := range trace {
+		if trace1[i].Objective != trace[i].Objective || trace1[i].Nodes != trace[i].Nodes {
+			t.Fatalf("Workers 1 trace %+v, Workers 0 %+v", trace1, trace)
+		}
+	}
+	res1.BestObjectiveTrace, res.BestObjectiveTrace = nil, nil
+	if !reflect.DeepEqual(res1, res) {
+		t.Errorf("Workers 1 result %+v, Workers 0 %+v", res1, res)
+	}
+	sameEvents(t, log1.events, log.events)
 }
 
 func TestStorePropagatorStats(t *testing.T) {

@@ -40,12 +40,19 @@ func randomInstance(seed int64, n int) (*Store, []*Var, *Var) {
 	return st, vars, obj
 }
 
-// TestParallelMatchesSequential is the determinism property test: over
-// a seeded matrix of random instances and worker counts {1, 2, 4, 8},
-// an exhaustive MinimizeParallel run returns the identical objective
-// and — thanks to subtree-index tie-breaking — the identical final
-// assignment as sequential Minimize. Run it under -race.
+// TestParallelMatchesSequential is the determinism property test over
+// a seeded matrix of random instances: every exhaustive Workers > 1
+// Minimize run returns the sequential objective, proves it optimal, and
+// reports one and the same assignment across repeats and worker counts
+// {2, 4, 8}. Under a static ChooseVar that assignment is also the
+// sequential one (both are the first optimal solution in DFS order);
+// under the default SmallestDomain it need not be. Run it under -race;
+// -short keeps one repeat per worker count for many-count race runs.
 func TestParallelMatchesSequential(t *testing.T) {
+	repeats := 50
+	if testing.Short() {
+		repeats = 1
+	}
 	snapshot := func(s *Store, nVars int) []int {
 		vals := make([]int, nVars)
 		for i := 0; i < nVars; i++ {
@@ -53,46 +60,174 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		return vals
 	}
-	for seed := int64(1); seed <= 10; seed++ {
-		n := 4 + int(seed)%4
-		st, vars, obj := randomInstance(seed, n)
-		var seqSol []int
-		seq, err := Minimize(st, vars, obj, Options{}, func(s *Store, _ int) {
-			seqSol = snapshot(s, len(vars))
-		})
-		if err != nil {
-			t.Fatalf("seed %d: Minimize: %v", seed, err)
-		}
-		if !seq.Optimal {
-			t.Fatalf("seed %d: sequential run not exhaustive", seed)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			pst, pvars, pobj := randomInstance(seed, n)
-			var parSol []int
-			par, err := MinimizeParallel(pst, pvars, pobj, Options{Workers: workers}, func(s *Store, _ int) {
-				parSol = snapshot(s, len(pvars))
+	choosers := []struct {
+		name   string
+		choose VarChooser
+		static bool
+	}{
+		{"smallest-domain", SmallestDomain, false},
+		{"first-unassigned", FirstUnassigned, true},
+	}
+	for _, ch := range choosers {
+		for seed := int64(1); seed <= 10; seed++ {
+			n := 4 + int(seed)%4
+			st, vars, obj := randomInstance(seed, n)
+			var seqSol []int
+			seq, err := Minimize(st, vars, obj, Options{ChooseVar: ch.choose}, func(s *Store, _ int) {
+				seqSol = snapshot(s, len(vars))
 			})
 			if err != nil {
-				t.Fatalf("seed %d workers %d: MinimizeParallel: %v", seed, workers, err)
+				t.Fatalf("%s seed %d: Minimize: %v", ch.name, seed, err)
 			}
-			if par.Found != seq.Found {
-				t.Fatalf("seed %d workers %d: Found %v, sequential %v", seed, workers, par.Found, seq.Found)
+			if !seq.Optimal {
+				t.Fatalf("%s seed %d: sequential run not exhaustive", ch.name, seed)
 			}
-			if !par.Optimal {
-				t.Fatalf("seed %d workers %d: parallel run not exhaustive (reason %v)", seed, workers, par.Reason)
-			}
-			if seq.Found && par.Best != seq.Best {
-				t.Fatalf("seed %d workers %d: objective %d, sequential %d", seed, workers, par.Best, seq.Best)
-			}
-			if len(parSol) != len(seqSol) {
-				t.Fatalf("seed %d workers %d: solution snapshots differ in length", seed, workers)
-			}
-			for i := range seqSol {
-				if parSol[i] != seqSol[i] {
-					t.Fatalf("seed %d workers %d: assignment differs at var %d: %v vs %v",
-						seed, workers, i, parSol, seqSol)
+			var first []int
+			for _, workers := range []int{2, 4, 8} {
+				for rep := 0; rep < repeats; rep++ {
+					pst, pvars, pobj := randomInstance(seed, n)
+					var parSol []int
+					par, err := Minimize(pst, pvars, pobj, Options{ChooseVar: ch.choose, Workers: workers}, func(s *Store, _ int) {
+						parSol = snapshot(s, len(pvars))
+					})
+					if err != nil {
+						t.Fatalf("%s seed %d workers %d: Minimize: %v", ch.name, seed, workers, err)
+					}
+					if par.Found != seq.Found {
+						t.Fatalf("%s seed %d workers %d: Found %v, sequential %v", ch.name, seed, workers, par.Found, seq.Found)
+					}
+					if !par.Optimal {
+						t.Fatalf("%s seed %d workers %d: parallel run not exhaustive (reason %v)", ch.name, seed, workers, par.Reason)
+					}
+					if !seq.Found {
+						continue
+					}
+					if par.Best != seq.Best {
+						t.Fatalf("%s seed %d workers %d: objective %d, sequential %d", ch.name, seed, workers, par.Best, seq.Best)
+					}
+					if first == nil {
+						first = parSol
+						if ch.static && !equalInts(first, seqSol) {
+							t.Fatalf("%s seed %d workers %d: assignment %v, sequential %v", ch.name, seed, workers, first, seqSol)
+						}
+					} else if !equalInts(parSol, first) {
+						t.Fatalf("%s seed %d workers %d repeat %d: assignment %v, earlier parallel runs %v",
+							ch.name, seed, workers, rep, parSol, first)
+					}
 				}
 			}
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIncumbentOffer checks the shared incumbent's acceptance rule and
+// cut: a strict improvement always wins, a tie only from an earlier
+// subtree, and the cut is best−1 at or after the incumbent's subtree
+// and best before it. Only strict improvements enter the trace; every
+// accepted offer reaches onImproved.
+func TestIncumbentOffer(t *testing.T) {
+	st := NewStore()
+	obj := st.NewVarRange("obj", 0, 9)
+	s, err := newSearch(Options{}, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reported []int
+	s.onImproved = func(_ *Store, v int) { reported = append(reported, v) }
+	if got := s.cutFor(0); got != math.MaxInt {
+		t.Fatalf("cut without an incumbent = %d, want unbounded", got)
+	}
+	offers := []struct {
+		obj     int
+		sub     int64
+		best    int
+		bestSub int64
+	}{
+		{7, 3, 7, 3}, // first incumbent
+		{7, 5, 7, 3}, // tie from a later subtree: rejected
+		{8, 0, 7, 3}, // worse: rejected
+		{7, 1, 7, 1}, // tie from an earlier subtree: accepted
+		{5, 4, 5, 4}, // strict improvement: accepted
+	}
+	for i, o := range offers {
+		s.offer(st, o.obj, o.sub, 0, nil)
+		if s.best != o.best || s.bestSub != o.bestSub {
+			t.Fatalf("offer %d (%d@%d): incumbent %d@%d, want %d@%d",
+				i, o.obj, o.sub, s.best, s.bestSub, o.best, o.bestSub)
+		}
+	}
+	for sub, want := range map[int64]int{0: 5, 3: 5, 4: 4, 9: 4} {
+		if got := s.cutFor(sub); got != want {
+			t.Errorf("cutFor(%d) = %d, want %d", sub, got, want)
+		}
+	}
+	if len(s.trace) != 2 || s.trace[0].Objective != 7 || s.trace[1].Objective != 5 {
+		t.Errorf("trace %+v, want objectives [7 5]", s.trace)
+	}
+	if !equalInts(reported, []int{7, 7, 5}) {
+		t.Errorf("onImproved saw %v, want [7 7 5]", reported)
+	}
+}
+
+// TestIncumbentConcurrentOffers races publishers against a reader:
+// the cut a worker reads never loosens, and the run ends on the least
+// (objective, subtree) pair offered.
+func TestIncumbentConcurrentOffers(t *testing.T) {
+	const (
+		publishers = 8
+		perWorker  = 2000
+	)
+	st := NewStore()
+	obj := st.NewVarRange("obj", 0, 1)
+	s, err := newSearch(Options{}, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < publishers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				s.offer(st, 2*perWorker-2*i+w%2, int64(w), 0, nil)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		prev := math.MaxInt
+		for i := 0; i < 10000; i++ {
+			cur := s.cutFor(0)
+			if cur > prev {
+				t.Errorf("cut loosened: %d -> %d", prev, cur)
+				return
+			}
+			prev = cur
+		}
+	}()
+	wg.Wait()
+	<-done
+	// The least objective offered is 2 (i = perWorker-1, even w); the
+	// earliest subtree offering it is w = 0.
+	if s.best != 2 || s.bestSub != 0 {
+		t.Fatalf("final incumbent %d@%d, want 2@0", s.best, s.bestSub)
+	}
+	for i := 1; i < len(s.trace); i++ {
+		if s.trace[i].Objective >= s.trace[i-1].Objective {
+			t.Fatalf("trace not strictly improving: %+v", s.trace)
 		}
 	}
 }
@@ -109,9 +244,9 @@ func TestParallelMatchesSequentialDeepSplit(t *testing.T) {
 		}
 		for _, depth := range []int{2, 3} {
 			pst, pvars, pobj := randomInstance(seed, 5)
-			par, err := MinimizeParallel(pst, pvars, pobj, Options{Workers: 4, SplitDepth: depth}, nil)
+			par, err := Minimize(pst, pvars, pobj, Options{Workers: 4, SplitDepth: depth}, nil)
 			if err != nil {
-				t.Fatalf("seed %d depth %d: MinimizeParallel: %v", seed, depth, err)
+				t.Fatalf("seed %d depth %d: Minimize: %v", seed, depth, err)
 			}
 			if par.Found != seq.Found || (seq.Found && par.Best != seq.Best) || !par.Optimal {
 				t.Fatalf("seed %d depth %d: (found %v best %d optimal %v), sequential (found %v best %d)",
@@ -147,9 +282,9 @@ func TestSolveParallelCountsSolutions(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		pst, pvars := build()
-		par, err := SolveParallel(pst, pvars, Options{Workers: workers}, func(*Store) bool { return true })
+		par, err := Solve(pst, pvars, Options{Workers: workers}, func(*Store) bool { return true })
 		if err != nil {
-			t.Fatalf("workers %d: SolveParallel: %v", workers, err)
+			t.Fatalf("workers %d: Solve: %v", workers, err)
 		}
 		if !par.Complete || par.Reason != StopExhausted {
 			t.Fatalf("workers %d: not exhausted: %+v", workers, par)
@@ -170,12 +305,12 @@ func TestSolveParallelMaxSolutions(t *testing.T) {
 	}
 	AllDifferent(st, vars...)
 	delivered := 0
-	res, err := SolveParallel(st, vars, Options{Workers: 4, MaxSolutions: 3}, func(*Store) bool {
+	res, err := Solve(st, vars, Options{Workers: 4, MaxSolutions: 3}, func(*Store) bool {
 		delivered++ // serialised by the parState mutex
 		return true
 	})
 	if err != nil {
-		t.Fatalf("SolveParallel: %v", err)
+		t.Fatalf("Solve: %v", err)
 	}
 	if res.Solutions != 3 || delivered != 3 {
 		t.Fatalf("got %d solutions (%d callbacks), want 3", res.Solutions, delivered)
@@ -203,9 +338,9 @@ func (c *eventCollector) Record(e obs.Event) {
 func TestParallelWorkerEvents(t *testing.T) {
 	st, vars, obj := randomInstance(3, 5)
 	var col eventCollector
-	res, err := MinimizeParallel(st, vars, obj, Options{Workers: 4, Recorder: &col}, nil)
+	res, err := Minimize(st, vars, obj, Options{Workers: 4, Recorder: &col}, nil)
 	if err != nil {
-		t.Fatalf("MinimizeParallel: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	if !res.Optimal {
 		t.Fatalf("run not exhaustive: %v", res.Reason)
@@ -240,9 +375,9 @@ func TestParallelStallNodes(t *testing.T) {
 	AllDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 11)
 	MaxOf(st, obj, vars...)
-	res, err := MinimizeParallel(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
+	res, err := Minimize(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
 	if err != nil {
-		t.Fatalf("MinimizeParallel: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	if !res.Found {
 		t.Fatal("no solution found before stalling")
@@ -266,9 +401,9 @@ func TestParallelMaxNodes(t *testing.T) {
 	AllDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 14)
 	MaxOf(st, obj, vars...)
-	res, err := MinimizeParallel(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
+	res, err := Minimize(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
 	if err != nil {
-		t.Fatalf("MinimizeParallel: %v", err)
+		t.Fatalf("Minimize: %v", err)
 	}
 	if res.Reason != StopNodeLimit {
 		t.Fatalf("reason %v, want node-limit", res.Reason)
@@ -285,7 +420,7 @@ func TestParallelRejectsFuncProp(t *testing.T) {
 	x := st.NewVarRange("x", 0, 5)
 	y := st.NewVarRange("y", 0, 5)
 	st.Post(FuncProp(func(s *Store) error { return s.Remove(x, 3) }), x)
-	_, err := MinimizeParallel(st, []*Var{x, y}, y, Options{Workers: 2}, nil)
+	_, err := Minimize(st, []*Var{x, y}, y, Options{Workers: 2}, nil)
 	var ce *CloneError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CloneError, got %v", err)
@@ -326,10 +461,6 @@ func TestOptionsValidation(t *testing.T) {
 		check("Solve", err)
 		_, err = Minimize(st, vars, y, tc.opts, nil)
 		check("Minimize", err)
-		_, err = SolveParallel(st, vars, tc.opts, func(*Store) bool { return true })
-		check("SolveParallel", err)
-		_, err = MinimizeParallel(st, vars, y, tc.opts, nil)
-		check("MinimizeParallel", err)
 	}
 }
 
@@ -362,76 +493,5 @@ func TestMaxNodesSequential(t *testing.T) {
 	}
 	if sres.Reason != StopNodeLimit || sres.Complete {
 		t.Fatalf("want node-limit stop, got %+v", sres)
-	}
-}
-
-// TestSharedBound exercises the CAS-minimum semantics including the
-// nil receiver.
-func TestSharedBound(t *testing.T) {
-	var nilB *SharedBound
-	if nilB.Get() != math.MaxInt64 {
-		t.Fatal("nil SharedBound must read as unbounded")
-	}
-	nilB.Publish(5) // must not panic
-	b := NewSharedBound()
-	if b.Get() != math.MaxInt64 {
-		t.Fatal("fresh SharedBound must read as unbounded")
-	}
-	b.Publish(10)
-	b.Publish(12) // worse: ignored
-	if b.Get() != 10 {
-		t.Fatalf("bound %d, want 10", b.Get())
-	}
-	b.Publish(7)
-	if b.Get() != 7 {
-		t.Fatalf("bound %d, want 7", b.Get())
-	}
-}
-
-// TestSharedBoundCouplesRuns checks a sequential Minimize prunes
-// against an externally published bound and publishes its own
-// improvements.
-func TestSharedBoundCouplesRuns(t *testing.T) {
-	build := func() (*Store, []*Var, *Var) {
-		st := NewStore()
-		vars := make([]*Var, 5)
-		for i := range vars {
-			vars[i] = st.NewVarRange("v", 0, 8)
-		}
-		AllDifferent(st, vars...)
-		obj := st.NewVarRange("obj", 0, 8)
-		MaxOf(st, obj, vars...)
-		return st, vars, obj
-	}
-	// Free-running reference.
-	st0, vars0, obj0 := build()
-	ref, err := Minimize(st0, vars0, obj0, Options{}, nil)
-	if err != nil || !ref.Found {
-		t.Fatalf("reference run: %+v, %v", ref, err)
-	}
-	// Coupled run starting from an already-optimal external bound: it
-	// may still match the bound (non-strict cut) but never beat it.
-	b := NewSharedBound()
-	b.Publish(ref.Best)
-	st1, vars1, obj1 := build()
-	res, err := Minimize(st1, vars1, obj1, Options{SharedBound: b}, nil)
-	if err != nil {
-		t.Fatalf("coupled run: %v", err)
-	}
-	if !res.Found || res.Best != ref.Best {
-		t.Fatalf("coupled run found=%v best=%d, want best %d", res.Found, res.Best, ref.Best)
-	}
-	if b.Get() != ref.Best {
-		t.Fatalf("bound drifted to %d", b.Get())
-	}
-	// A published improvement must land in the bound.
-	b2 := NewSharedBound()
-	st2, vars2, obj2 := build()
-	res2, err := Minimize(st2, vars2, obj2, Options{SharedBound: b2}, nil)
-	if err != nil {
-		t.Fatalf("publishing run: %v", err)
-	}
-	if b2.Get() != res2.Best {
-		t.Fatalf("bound %d, want published best %d", b2.Get(), res2.Best)
 	}
 }

@@ -2,6 +2,9 @@ package csp
 
 import (
 	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -102,9 +105,9 @@ type Options struct {
 	// convergence criterion for anytime optimisation. Solve ignores it.
 	StallNodes int64
 	// MaxNodes, when positive, aborts search after exploring this many
-	// branching nodes (shared globally across workers in the parallel
-	// entry points) with Reason StopNodeLimit — a deterministic budget
-	// that, unlike Deadline, does not depend on machine speed.
+	// branching nodes (counted across all workers) with Reason
+	// StopNodeLimit — a deterministic budget that, unlike Deadline, does
+	// not depend on machine speed.
 	MaxNodes int64
 	// Recorder, when non-nil, receives the structured search event
 	// stream (branch, backtrack, solution, incumbent) and is installed
@@ -112,22 +115,15 @@ type Options struct {
 	// events (propagate, prune) are captured too. Nil keeps the search
 	// hot path free of any recording overhead.
 	Recorder obs.Recorder
-	// Workers sets the number of search goroutines used by
-	// SolveParallel and MinimizeParallel (0 = runtime.GOMAXPROCS).
-	// The sequential entry points ignore it.
+	// Workers sets the number of search goroutines. 0 or 1 searches on
+	// the caller's store alone; above 1 the tree is split into
+	// subproblems explored on cloned stores (see parallel.go for the
+	// requirements and the determinism contract).
 	Workers int
 	// SplitDepth is the number of leading branching levels expanded
-	// into independent subproblems by the parallel entry points
-	// (0 = 1). Deeper splits yield more, finer-grained subproblems.
+	// into independent subproblems when Workers > 1 (0 = 1). Deeper
+	// splits yield more, finer-grained subproblems.
 	SplitDepth int
-	// SharedBound, when non-nil, couples this run to other concurrent
-	// minimisation runs over the same objective: the search prunes
-	// against the best objective published by any participant, and
-	// publishes its own improvements. Solutions matching the shared
-	// bound exactly are still accepted (the cut is non-strict), so
-	// every participant reports its own best solution. With an
-	// external bound, Optimal means optimal relative to that bound.
-	SharedBound *SharedBound
 }
 
 // OptionError reports an invalid Options field value.
@@ -225,98 +221,6 @@ type SearchResult struct {
 	Propagations int64
 }
 
-// Solve runs depth-first search over vars, invoking onSolution with the
-// store in an all-assigned, propagated state for every solution. If
-// onSolution returns false, enumeration stops early. The store is left
-// at its entry state.
-func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (SearchResult, error) {
-	opts, err := opts.withDefaults()
-	var res SearchResult
-	if err != nil {
-		return res, err
-	}
-	propBase := st.nPropag
-	if opts.Recorder != nil {
-		prev := st.Recorder()
-		st.SetRecorder(opts.Recorder)
-		defer st.SetRecorder(prev)
-	}
-	if err := st.Propagate(); err != nil {
-		res.Propagations = st.nPropag - propBase
-		if err == ErrInconsistent {
-			res.Complete = true
-			return res, nil
-		}
-		return res, err
-	}
-	stop := searchRec(st, vars, &opts, &res, 0, onSolution)
-	res.Complete = !stop
-	if !stop {
-		res.Reason = StopExhausted
-	}
-	res.Propagations = st.nPropag - propBase
-	return res, nil
-}
-
-func deadlineHit(opts *Options) bool {
-	//solverlint:allow nondeterminism Options.Deadline is a documented anytime stop; deadline runs are non-deterministic by contract
-	return !opts.Deadline.IsZero() && time.Now().After(opts.Deadline)
-}
-
-// searchRec returns true when enumeration must stop entirely (deadline
-// or solution-callback cut).
-func searchRec(st *Store, vars []*Var, opts *Options, res *SearchResult, depth int, onSolution func(*Store) bool) bool {
-	if deadlineHit(opts) {
-		res.Reason = StopTimeout
-		return true
-	}
-	if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-		res.Reason = StopNodeLimit
-		return true
-	}
-	v := opts.ChooseVar(vars)
-	if v == nil {
-		res.Solutions++
-		if opts.Recorder != nil {
-			opts.Recorder.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
-		}
-		keepGoing := onSolution(st)
-		if !keepGoing {
-			res.Reason = StopCut
-			return true
-		}
-		if opts.MaxSolutions > 0 && res.Solutions >= opts.MaxSolutions {
-			res.Reason = StopCut
-			return true
-		}
-		return false
-	}
-	res.Nodes++
-	for _, val := range opts.OrderValues(v) {
-		if opts.Recorder != nil {
-			opts.Recorder.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
-		}
-		st.Push()
-		err := st.Assign(v, val)
-		if err == nil {
-			err = st.Propagate()
-		}
-		if err == nil {
-			if stop := searchRec(st, vars, opts, res, depth+1, onSolution); stop {
-				st.Pop()
-				return true
-			}
-		} else {
-			res.Backtracks++
-			if opts.Recorder != nil {
-				opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-			}
-		}
-		st.Pop()
-	}
-	return false
-}
-
 // ObjectivePoint is one improving step of a branch-and-bound run: the
 // new incumbent objective, and when it was found in nodes and wall-clock
 // time since the start of the run. The sequence of points reconstructs
@@ -355,14 +259,31 @@ type MinimizeResult struct {
 	BestObjectiveTrace []ObjectivePoint
 }
 
-// minimizeState carries the mutable bookkeeping of one Minimize run that
-// is not part of the public result.
-type minimizeState struct {
-	bound        int
-	boundHandle  int
-	lastImproved int64
-	start        time.Time
-	onImproved   func(*Store, int)
+// Solve runs depth-first search over vars, invoking onSolution with the
+// store in an all-assigned, propagated state for every solution. If
+// onSolution returns false, enumeration stops early. The store is left
+// at its entry state.
+//
+// With Options.Workers > 1, onSolution is serialised but runs on worker
+// goroutines with a worker's clone of st, in a scheduling-dependent
+// order; which solutions a MaxSolutions cut delivers is likewise
+// scheduling-dependent. The solution count of an exhaustive run is not.
+func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (SearchResult, error) {
+	s, err := newSearch(opts, nil)
+	if err != nil {
+		return SearchResult{}, err
+	}
+	s.onSolution = onSolution
+	err = s.run(st, vars)
+	res := SearchResult{
+		Solutions:    s.solutions,
+		Reason:       StopReason(s.reason.Load()),
+		Nodes:        s.nodes.Load(),
+		Backtracks:   s.backtracks.Load(),
+		Propagations: s.propagations,
+	}
+	res.Complete = err == nil && res.Reason == StopExhausted
+	return res, err
 }
 
 // Minimize finds an assignment of vars minimising obj using depth-first
@@ -370,56 +291,34 @@ type minimizeState struct {
 // bounded below the incumbent and search continues. onImproved (may be
 // nil) is called with the store at each improving solution so the caller
 // can snapshot the assignment. The store is restored on return.
+//
+// With Options.Workers > 1, onImproved is serialised but runs on worker
+// goroutines with a worker's clone of st; its final call carries the
+// run's reported solution (see parallel.go for which one that is).
 func Minimize(st *Store, vars []*Var, obj *Var, opts Options, onImproved func(*Store, int)) (MinimizeResult, error) {
-	opts, err := opts.withDefaults()
-	var res MinimizeResult
+	s, err := newSearch(opts, obj)
 	if err != nil {
-		return res, err
+		return MinimizeResult{}, err
 	}
-	propBase := st.nPropag
-	if opts.Recorder != nil {
-		prev := st.Recorder()
-		st.SetRecorder(opts.Recorder)
-		defer st.SetRecorder(prev)
-	}
-
-	ms := &minimizeState{
-		// bound is exclusive: solutions must achieve obj < bound.
-		bound: obj.Max() + 1,
-		//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
-		start:      time.Now(),
-		onImproved: onImproved,
-	}
-	boundProp := FuncProp(func(s *Store) error {
-		hi := ms.bound - 1
-		if b := opts.SharedBound.Get(); b < hi {
-			hi = b // non-strict: matching another run's best is allowed
-		}
-		return s.SetMax(obj, hi)
-	})
-	ms.boundHandle = st.Post(WithName(boundProp, "bnb.bound"), obj)
-
-	searchVars := vars
+	s.onImproved = onImproved
+	//solverlint:allow nondeterminism run-start timestamp only feeds ObjectivePoint.Elapsed (anytime trace), never a search decision
+	s.start = time.Now()
 	if !containsVar(vars, obj) {
-		searchVars = append(append([]*Var{}, vars...), obj)
+		vars = append(append([]*Var{}, vars...), obj)
 	}
-
-	if err := st.Propagate(); err != nil {
-		res.Propagations = st.nPropag - propBase
-		if err == ErrInconsistent {
-			res.Optimal = true // infeasible: vacuously closed
-			return res, nil
-		}
-		return res, err
+	err = s.run(st, vars)
+	res := MinimizeResult{
+		Found:              s.found,
+		Best:               s.best,
+		Reason:             StopReason(s.reason.Load()),
+		Nodes:              s.nodes.Load(),
+		Backtracks:         s.backtracks.Load(),
+		Propagations:       s.propagations,
+		BestObjectiveTrace: s.trace,
 	}
-
-	stopped := minimizeRec(st, searchVars, obj, &opts, &res, ms, 0)
-	res.Optimal = !stopped
-	if !stopped {
-		res.Reason = StopExhausted
-	}
-	res.Propagations = st.nPropag - propBase
-	return res, nil
+	res.Optimal = err == nil && res.Reason == StopExhausted
+	res.Stalled = res.Reason == StopStalled
+	return res, err
 }
 
 func containsVar(vars []*Var, v *Var) bool {
@@ -431,71 +330,294 @@ func containsVar(vars []*Var, v *Var) bool {
 	return false
 }
 
-func minimizeRec(st *Store, vars []*Var, obj *Var, opts *Options, res *MinimizeResult, ms *minimizeState, depth int) bool {
-	if deadlineHit(opts) {
-		res.Reason = StopTimeout
+// search is the state of one Solve or Minimize run, shared by all of its
+// workers. Solve and Minimize differ only in the action taken at a leaf:
+// Solve delivers the solution, Minimize offers it as an incumbent.
+type search struct {
+	opts       Options
+	obj        *Var // the objective; nil for Solve
+	start      time.Time
+	onSolution func(*Store) bool
+	onImproved func(*Store, int)
+
+	next         atomic.Int64 // subproblem dispenser
+	stopped      atomic.Bool
+	reason       atomic.Int32 // first StopReason to fire; StopExhausted (0) while none has
+	nodes        atomic.Int64
+	backtracks   atomic.Int64
+	inc          atomic.Pointer[incumbent]
+	lastImproved atomic.Int64 // nodes at the last strict improvement
+	propagations int64        // written by the calling goroutine only
+
+	mu        sync.Mutex // guards the fields below and the callbacks
+	solutions int
+	found     bool
+	best      int
+	bestSub   int64
+	trace     []ObjectivePoint
+}
+
+// incumbent is the atomically published (objective, subtree) pair the
+// bound propagators cut with.
+type incumbent struct {
+	best int
+	sub  int64
+}
+
+func newSearch(opts Options, obj *Var) (*search, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return &search{opts: opts, obj: obj}, nil
+}
+
+// run is the one search loop behind Solve and Minimize: it installs
+// the recorder, propagates the root and explores the tree below it —
+// as a single job on st when Workers ≤ 1, split over cloned workers
+// otherwise. An infeasible root is an exhausted search.
+func (s *search) run(st *Store, vars []*Var) error {
+	propBase := st.nPropag
+	if s.opts.Recorder != nil {
+		prev := st.Recorder()
+		st.SetRecorder(s.opts.Recorder)
+		defer st.SetRecorder(prev)
+	}
+	var w *worker
+	if s.opts.Workers <= 1 {
+		w = s.newWorker(st, vars, s.opts.Recorder)
+	}
+	err := st.Propagate()
+	switch {
+	case err == ErrInconsistent:
+		err = nil
+	case err != nil:
+		// Any other propagation error is the caller's to see.
+	case w != nil:
+		w.runJob(subproblem{})
+	default:
+		err = s.runParallel(st, vars)
+	}
+	s.propagations += st.nPropag - propBase
+	return err
+}
+
+func deadlineHit(opts *Options) bool {
+	//solverlint:allow nondeterminism Options.Deadline is a documented anytime stop; deadline runs are non-deterministic by contract
+	return !opts.Deadline.IsZero() && time.Now().After(opts.Deadline)
+}
+
+// stop requests a global stop, recording r if it is the first cause.
+func (s *search) stop(r StopReason) {
+	s.reason.CompareAndSwap(0, int32(r))
+	s.stopped.Store(true)
+}
+
+// interrupted reports whether the run has stopped, firing the deadline
+// if it has passed.
+func (s *search) interrupted() bool {
+	if s.stopped.Load() {
 		return true
 	}
-	if opts.MaxNodes > 0 && res.Nodes >= opts.MaxNodes {
-		res.Reason = StopNodeLimit
+	if deadlineHit(&s.opts) {
+		s.stop(StopTimeout)
 		return true
 	}
-	if opts.StallNodes > 0 && res.Found && res.Nodes-ms.lastImproved > opts.StallNodes {
-		res.Stalled = true
-		res.Reason = StopStalled
+	return false
+}
+
+// checkStops polls every stop condition at a search node, firing the
+// first that holds. It reports whether the worker must unwind.
+func (s *search) checkStops() bool {
+	if s.interrupted() {
 		return true
 	}
-	v := opts.ChooseVar(vars)
-	if v == nil {
-		val := obj.Value()
-		if !res.Found || val < res.Best {
-			res.Found = true
-			res.Best = val
-			ms.bound = val
-			ms.lastImproved = res.Nodes
-			opts.SharedBound.Publish(val)
-			res.BestObjectiveTrace = append(res.BestObjectiveTrace, ObjectivePoint{
-				Objective: val,
-				Nodes:     res.Nodes,
-				//solverlint:allow nondeterminism Elapsed annotates the anytime trace for reporting; no search decision reads it
-				Elapsed: time.Since(ms.start),
-			})
-			if opts.Recorder != nil {
-				opts.Recorder.Record(obs.Event{Kind: obs.KindIncumbent, Objective: val, Nodes: res.Nodes, Depth: depth})
-			}
-			if ms.onImproved != nil {
-				ms.onImproved(st, val)
-			}
+	n := s.nodes.Load()
+	if s.opts.MaxNodes > 0 && n >= s.opts.MaxNodes {
+		s.stop(StopNodeLimit)
+		return true
+	}
+	if s.opts.StallNodes > 0 && s.inc.Load() != nil && n-s.lastImproved.Load() > s.opts.StallNodes {
+		s.stop(StopStalled)
+		return true
+	}
+	return false
+}
+
+// cutFor returns the largest objective value worth exploring in
+// subtree sub: best−1 at or after the incumbent's subtree, best before
+// it (a tie there still beats the incumbent).
+func (s *search) cutFor(sub int64) int {
+	p := s.inc.Load()
+	switch {
+	case p == nil:
+		return math.MaxInt
+	case sub >= p.sub:
+		return p.best - 1
+	}
+	return p.best
+}
+
+// offer submits a solution with objective obj found in subtree sub.
+// Acceptance is exact (under the mutex); the atomic incumbent pair is
+// republished for the lock-free cuts.
+func (s *search) offer(st *Store, obj int, sub int64, depth int, rec obs.Recorder) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	improved := !s.found || obj < s.best
+	if !improved && !(obj == s.best && sub < s.bestSub) {
+		return
+	}
+	s.found = true
+	s.best = obj
+	s.bestSub = sub
+	s.inc.Store(&incumbent{best: obj, sub: sub})
+	if improved {
+		n := s.nodes.Load()
+		s.lastImproved.Store(n)
+		s.trace = append(s.trace, ObjectivePoint{
+			Objective: obj,
+			Nodes:     n,
+			//solverlint:allow nondeterminism Elapsed annotates the anytime trace for reporting; no search decision reads it
+			Elapsed: time.Since(s.start),
+		})
+		if rec != nil {
+			rec.Record(obs.Event{Kind: obs.KindIncumbent, Objective: obj, Nodes: n, Depth: depth})
 		}
-		return false
 	}
-	res.Nodes++
-	for _, val := range opts.OrderValues(v) {
-		if deadlineHit(opts) {
-			res.Reason = StopTimeout
+	// Ties re-snapshot too: the earlier-subtree solution becomes the
+	// reported one.
+	if s.onImproved != nil {
+		s.onImproved(st, obj)
+	}
+}
+
+// worker explores subproblems on one store: the caller's when the run
+// has a single job, a clone of it otherwise.
+type worker struct {
+	s     *search
+	st    *Store
+	vars  []*Var       // the search variables on st
+	obj   *Var         // the objective on st; nil for Solve
+	rec   obs.Recorder // Options.Recorder, stamped with the worker id when Workers > 1
+	bound int          // handle of the bnb.bound propagator; -1 for Solve
+	sub   int64        // index of the subproblem being explored
+}
+
+// newWorker binds a worker to st. For Minimize it posts the incumbent
+// cut on st, re-scheduled at every branch.
+func (s *search) newWorker(st *Store, vars []*Var, rec obs.Recorder) *worker {
+	w := &worker{s: s, st: st, vars: vars, rec: rec, bound: -1}
+	if s.obj != nil {
+		w.obj = st.vars[s.obj.id]
+		boundProp := FuncProp(func(st *Store) error {
+			return st.SetMax(w.obj, s.cutFor(w.sub))
+		})
+		w.bound = st.Post(WithName(boundProp, "bnb.bound"), w.obj)
+	}
+	return w
+}
+
+// runJob replays job's decisions on the worker's store and explores the
+// subtree below them.
+func (w *worker) runJob(job subproblem) {
+	w.sub = int64(job.index)
+	if len(job.path) == 0 {
+		// Nothing to replay: the store is at its propagated root, and a
+		// single-job run must cost exactly what the search below it does.
+		w.dfs(0)
+		return
+	}
+	st := w.st
+	st.Push()
+	if w.bound >= 0 {
+		st.Schedule(w.bound)
+	}
+	var err error
+	for _, d := range job.path {
+		if err = st.Assign(st.vars[d.varID], d.val); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = st.Propagate()
+	}
+	if err == nil {
+		w.dfs(len(job.path))
+	} else {
+		w.backtrack(len(job.path))
+	}
+	st.Pop()
+}
+
+// dfs is the search recursion: it explores the subtree below the
+// store's current state and returns true when the run has stopped and
+// the worker must unwind.
+func (w *worker) dfs(depth int) bool {
+	s, st := w.s, w.st
+	if s.checkStops() {
+		return true
+	}
+	v := s.opts.ChooseVar(w.vars)
+	if v == nil {
+		return w.leaf(depth)
+	}
+	s.nodes.Add(1)
+	for _, val := range s.opts.OrderValues(v) {
+		if s.interrupted() {
 			return true
 		}
-		if opts.Recorder != nil {
-			opts.Recorder.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
+		if w.rec != nil {
+			w.rec.Record(obs.Event{Kind: obs.KindBranch, Var: v.name, Value: val, Depth: depth})
 		}
 		st.Push()
-		st.Schedule(ms.boundHandle) // the bound may have tightened since Push
+		if w.bound >= 0 {
+			st.Schedule(w.bound) // the cut may have tightened since Push
+		}
 		err := st.Assign(v, val)
 		if err == nil {
 			err = st.Propagate()
 		}
-		if err == nil {
-			if stop := minimizeRec(st, vars, obj, opts, res, ms, depth+1); stop {
-				st.Pop()
-				return true
-			}
-		} else {
-			res.Backtracks++
-			if opts.Recorder != nil {
-				opts.Recorder.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
-			}
+		if err != nil {
+			w.backtrack(depth)
+		} else if w.dfs(depth + 1) {
+			st.Pop()
+			return true
 		}
 		st.Pop()
 	}
 	return false
+}
+
+// leaf handles an all-assigned store: Minimize offers it as an
+// incumbent, Solve delivers it. It reports whether the run has stopped.
+func (w *worker) leaf(depth int) bool {
+	s := w.s
+	if w.obj != nil {
+		s.offer(w.st, w.obj.Value(), w.sub, depth, w.rec)
+		return false
+	}
+	if w.rec != nil {
+		w.rec.Record(obs.Event{Kind: obs.KindSolution, Depth: depth})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped.Load() {
+		return true
+	}
+	s.solutions++
+	if (s.onSolution != nil && !s.onSolution(w.st)) ||
+		(s.opts.MaxSolutions > 0 && s.solutions >= s.opts.MaxSolutions) {
+		s.stop(StopCut)
+		return true
+	}
+	return false
+}
+
+// backtrack counts a dead end at depth.
+func (w *worker) backtrack(depth int) {
+	w.s.backtracks.Add(1)
+	if w.rec != nil {
+		w.rec.Record(obs.Event{Kind: obs.KindBacktrack, Depth: depth})
+	}
 }

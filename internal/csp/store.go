@@ -434,9 +434,11 @@ func (st *Store) propagate() error {
 		}
 		return ErrInconsistent
 	}
-	for len(st.queue) > 0 {
-		idx := st.queue[0]
-		st.queue = st.queue[1:]
+	// Consume the queue by index and truncate it once drained, so its
+	// backing array is reused by the next fixpoint instead of being
+	// resliced away from the front.
+	for head := 0; head < len(st.queue); head++ {
+		idx := st.queue[head]
 		st.queued[idx] = false
 		st.nPropag++
 		st.props[idx].runs++
@@ -455,6 +457,7 @@ func (st *Store) propagate() error {
 			return err
 		}
 	}
+	st.queue = st.queue[:0]
 	return nil
 }
 
