@@ -92,7 +92,7 @@ bench-service:
 	$(GO) test -run xxx -bench BenchmarkServiceColdSolve -benchtime 2x ./internal/service
 
 # The solver benchmark-regression gate: re-solve the pinned scenario
-# set and fail on effort regressions (nodes/backtracks/height) against
+# set and fail on effort regressions (nodes/backtracks/allocs/height) against
 # the committed BENCH_solver.json. Re-baseline after intended changes
 # with `go test -run TestBenchGate -benchgate-update .`.
 benchgate:

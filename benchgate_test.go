@@ -1,17 +1,18 @@
 // The solver benchmark-regression gate. Wall-clock benchmarks are too
 // noisy to gate a CI job on directly, so the gate pins the solver's
-// *deterministic* effort metrics — search nodes and backtracks of a
-// sequential solve, which are bit-reproducible for a fixed instance and
-// configuration — exactly via a committed baseline (BENCH_solver.json)
-// with a small slack, and uses wall time only as a coarse sanity bound.
+// *deterministic* effort metrics — search nodes, backtracks and heap
+// allocations of a sequential solve, which are reproducible for a fixed
+// instance and configuration — via a committed baseline
+// (BENCH_solver.json) with a small slack, and uses wall time only as a
+// coarse sanity bound.
 //
 //	go test -run TestBenchGate -benchgate .            # gate against the baseline
 //	go test -run TestBenchGate -benchgate-update .     # re-baseline after an intended change
 //
 // CI runs the gate via scripts/benchgate.sh (`make benchgate`). A
-// failure means the change regressed solver pruning: either fix it, or
-// re-baseline with -benchgate-update and justify the new numbers in the
-// change description.
+// failure means the change regressed solver pruning or made the solver
+// allocate more: either fix it, or re-baseline with -benchgate-update
+// and justify the new numbers in the change description.
 package repro_test
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -38,10 +40,13 @@ var (
 const benchGatePath = "BENCH_solver.json"
 
 const (
-	// gateEffortSlack bounds nodes and backtracks relative to the
-	// baseline. The metrics are deterministic, so any slack at all is
-	// generosity toward incidental changes (e.g. a reordered propagator
-	// queue); real pruning regressions blow well past 10%.
+	// gateEffortSlack bounds nodes, backtracks and allocations relative
+	// to the baseline. Nodes and backtracks are deterministic and
+	// allocations nearly so (they vary by at most a few hundred per
+	// million between runs), so any slack at all is generosity toward
+	// incidental changes (e.g. a reordered propagator queue); real
+	// pruning regressions, or a per-propagation allocation on a hot
+	// path, blow well past 10%.
 	gateEffortSlack = 1.10
 	// gateTimeSlack bounds wall time. CI machines vary widely, so this
 	// only catches catastrophic slowdowns (an accidental O(n²) in a hot
@@ -56,6 +61,7 @@ type gateRecord struct {
 	Optimal    bool   `json:"optimal"`
 	Nodes      int64  `json:"nodes"`
 	Backtracks int64  `json:"backtracks"`
+	Allocs     int64  `json:"allocs"`
 	NS         int64  `json:"ns"`
 }
 
@@ -106,9 +112,12 @@ func gateScenarios() []gateScenario {
 
 func runGateScenario(t *testing.T, sc gateScenario) gateRecord {
 	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	res, err := core.New(sc.region, sc.opts).Place(sc.mods)
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.name, err)
 	}
@@ -124,6 +133,7 @@ func runGateScenario(t *testing.T, sc gateScenario) gateRecord {
 		Optimal:    res.Optimal,
 		Nodes:      res.Nodes,
 		Backtracks: res.Backtracks,
+		Allocs:     int64(after.Mallocs - before.Mallocs),
 		NS:         elapsed.Nanoseconds(),
 	}
 }
@@ -138,8 +148,8 @@ func TestBenchGate(t *testing.T) {
 	var got []gateRecord
 	for _, sc := range gateScenarios() {
 		rec := runGateScenario(t, sc)
-		t.Logf("%s: height=%d optimal=%v nodes=%d backtracks=%d elapsed=%v",
-			rec.Name, rec.Height, rec.Optimal, rec.Nodes, rec.Backtracks, time.Duration(rec.NS))
+		t.Logf("%s: height=%d optimal=%v nodes=%d backtracks=%d allocs=%d elapsed=%v",
+			rec.Name, rec.Height, rec.Optimal, rec.Nodes, rec.Backtracks, rec.Allocs, time.Duration(rec.NS))
 		got = append(got, rec)
 	}
 
@@ -192,6 +202,10 @@ func TestBenchGate(t *testing.T) {
 		if maxB := int64(float64(b.Backtracks) * gateEffortSlack); rec.Backtracks > maxB {
 			failures = append(failures, fmt.Sprintf("%s: backtracks %d exceeds baseline %d x%.2f = %d",
 				rec.Name, rec.Backtracks, b.Backtracks, gateEffortSlack, maxB))
+		}
+		if maxA := int64(float64(b.Allocs) * gateEffortSlack); rec.Allocs > maxA {
+			failures = append(failures, fmt.Sprintf("%s: allocs %d exceeds baseline %d x%.2f = %d",
+				rec.Name, rec.Allocs, b.Allocs, gateEffortSlack, maxA))
 		}
 		if maxT := int64(float64(b.NS) * gateTimeSlack); rec.NS > maxT {
 			failures = append(failures, fmt.Sprintf("%s: wall time %v exceeds baseline %v x%.0f",

@@ -14,7 +14,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/fabric"
 	"repro/internal/grid"
-	"repro/internal/module"
 	"repro/internal/online"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -35,12 +34,6 @@ import (
 // with seed+w and cycles through the session managers, so a run
 // exercises every greedy policy.
 
-// shadowResident is the client's record of one module it placed.
-type shadowResident struct {
-	mod *module.Module
-	pts []grid.Point
-}
-
 // sessionWorker drives one session and its shadow state.
 type sessionWorker struct {
 	c      *client.Client
@@ -51,7 +44,7 @@ type sessionWorker struct {
 	region *fabric.Region
 	id     string
 	occ    *grid.Bitmap
-	res    map[int64]shadowResident
+	res    map[int64]online.Resident
 	nextID int64
 }
 
@@ -93,7 +86,7 @@ func runSessions(o cliOpts, out io.Writer) (*summary, error) {
 				rng:    rand.New(rand.NewSource(o.seed + int64(wi))),
 				region: dev.FullRegion(),
 				occ:    grid.NewBitmap(dev.Bounds().W(), dev.Bounds().H()),
-				res:    map[int64]shadowResident{},
+				res:    map[int64]online.Resident{},
 			}
 			w.drive(opsPerWorker, deadline)
 		}(wi)
@@ -238,14 +231,14 @@ func (w *sessionWorker) arrive() {
 	if !w.applyMoves(task, resp.Moves) {
 		return
 	}
-	pts, err := online.ValidatePlacement(w.region, w.occ, mod,
-		online.Placement{Shape: resp.Shape, At: grid.Pt(resp.X, resp.Y)})
+	r := online.Resident{ID: online.TaskID(task), Module: mod, Shape: resp.Shape, At: grid.Pt(resp.X, resp.Y)}
+	pts, err := online.ValidatePlacement(w.region, w.occ, mod, online.Placement{Shape: r.Shape, At: r.At})
 	if err != nil {
 		w.agg.violation(task, "placement fails shadow validation (%s): %v", quality, err)
 		return
 	}
 	w.occ.SetPoints(pts, true)
-	w.res[task] = shadowResident{mod: mod, pts: pts}
+	w.res[task] = r
 	w.agg.mu.Lock()
 	if quality == service.QualityApproximate {
 		w.agg.sum.Approximate++
@@ -270,15 +263,14 @@ func (w *sessionWorker) applyMoves(seq int64, moves []service.MoveSpec) bool {
 			w.agg.violation(seq, "unpriced move %+v", mv)
 			return false
 		}
-		w.occ.SetPoints(r.pts, false)
-		pts, err := online.ValidatePlacement(w.region, w.occ, r.mod,
-			online.Placement{Shape: mv.Shape, At: grid.Pt(mv.X, mv.Y)})
+		w.occ.SetPointsAt(r.Module.Shape(r.Shape).Points(), r.At, false)
+		r.Shape, r.At = mv.Shape, grid.Pt(mv.X, mv.Y)
+		pts, err := online.ValidatePlacement(w.region, w.occ, r.Module, online.Placement{Shape: r.Shape, At: r.At})
 		if err != nil {
 			w.agg.violation(seq, "move of %d fails shadow validation: %v", mv.Task, err)
 			return false
 		}
 		w.occ.SetPoints(pts, true)
-		r.pts = pts
 		w.res[mv.Task] = r
 	}
 	return true
@@ -314,7 +306,8 @@ func (w *sessionWorker) depart() {
 		w.agg.violation(task, "server claims task %d was not resident; shadow disagrees", task)
 		return
 	}
-	w.occ.SetPoints(w.res[task].pts, false)
+	r := w.res[task]
+	w.occ.SetPointsAt(r.Module.Shape(r.Shape).Points(), r.At, false)
 	delete(w.res, task)
 }
 

@@ -71,8 +71,8 @@ type Options struct {
 	Iterations int
 }
 
-// candidate is one (shape, anchor) pair of a module, with its tiles
-// pre-translated relative to the anchor for fast occupancy tests.
+// candidate is one shape of a module: its footprint, painted and tested
+// at an anchor on the occupancy bitmap, and its bounding size.
 type candidate struct {
 	shapeIdx int
 	points   []grid.Point // shape-relative
@@ -129,12 +129,6 @@ func (s *placedState) fits(i, si, x, y int) bool {
 		return false
 	}
 	return !s.occ.AnyAt(s.cands[i][si].points, grid.Pt(x, y))
-}
-
-func (s *placedState) paint(i, si, x, y int, v bool) {
-	for _, p := range s.cands[i][si].points {
-		s.occ.Set(p.X+x, p.Y+y, v)
-	}
 }
 
 // bottomLeft returns the bottom-left-most feasible (shape, anchor) of
@@ -215,7 +209,7 @@ func Place(region *fabric.Region, mods []*module.Module, alg Algorithm, opts Opt
 			placedOK = false
 			break
 		}
-		st.paint(i, si, x, y, true)
+		st.occ.SetPointsAt(st.cands[i][si].points, grid.Pt(x, y), true)
 		placements[i] = core.Placement{Module: mods[i], ShapeIndex: si, At: grid.Pt(x, y)}
 		if top := y + st.cands[i][si].h; top > currentTop {
 			currentTop = top
@@ -288,7 +282,8 @@ func anneal(st *placedState, placements []core.Placement, opts Options) {
 		if oldIdx < 0 {
 			continue
 		}
-		st.paint(i, oldIdx, old.At.X, old.At.Y, false)
+		oldPts := st.cands[i][oldIdx].points
+		st.occ.SetPointsAt(oldPts, old.At, false)
 
 		// Draw a random candidate anchor biased low: pick a random row
 		// from the lower half more often.
@@ -299,19 +294,20 @@ func anneal(st *placedState, placements []core.Placement, opts Options) {
 			y = rng.Intn(st.region.H()/2 + 1)
 		}
 		if !st.fits(i, ci, x, y) {
-			st.paint(i, oldIdx, old.At.X, old.At.Y, true)
+			st.occ.SetPointsAt(oldPts, old.At, true)
 			continue
 		}
-		st.paint(i, ci, x, y, true)
-		placements[i] = core.Placement{Module: old.Module, ShapeIndex: st.cands[i][ci].shapeIdx, At: grid.Pt(x, y)}
+		pts, at := st.cands[i][ci].points, grid.Pt(x, y)
+		st.occ.SetPointsAt(pts, at, true)
+		placements[i] = core.Placement{Module: old.Module, ShapeIndex: st.cands[i][ci].shapeIdx, At: at}
 		nxt := cost()
 		if nxt <= cur || rng.Float64() < math.Exp((cur-nxt)/temp) {
 			cur = nxt
 			continue
 		}
 		// Reject: restore.
-		st.paint(i, ci, x, y, false)
-		st.paint(i, oldIdx, old.At.X, old.At.Y, true)
+		st.occ.SetPointsAt(pts, at, false)
+		st.occ.SetPointsAt(oldPts, old.At, true)
 		placements[i] = old
 	}
 }

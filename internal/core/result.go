@@ -25,9 +25,10 @@ func (p Placement) Shape() *module.Shape { return p.Module.Shape(p.ShapeIndex) }
 
 // Tiles returns the absolute region tiles the placement occupies.
 func (p Placement) Tiles() []grid.Point {
-	pts := p.Shape().Points()
-	for i := range pts {
-		pts[i] = pts[i].Add(p.At)
+	rel := p.Shape().Points()
+	pts := make([]grid.Point, len(rel))
+	for i, q := range rel {
+		pts[i] = q.Add(p.At)
 	}
 	return pts
 }
@@ -105,7 +106,7 @@ type PresolveStats struct {
 func (res *Result) Occupancy(r *fabric.Region) *grid.Bitmap {
 	b := grid.NewBitmap(r.W(), r.H())
 	for _, p := range res.Placements {
-		b.SetPoints(p.Tiles(), true)
+		b.SetPointsAt(p.Shape().Points(), p.At, true)
 	}
 	return b
 }

@@ -36,11 +36,11 @@ func compulsoryRegion(o *Object) *grid.Bitmap {
 	o.Place.Domain().ForEach(func(val int) bool {
 		sid, x, y := o.Decode(val)
 		cur.Clear()
-		cur.SetPoints(translate(o.Shapes[sid].Points, grid.Pt(x, y)), true)
+		cur.SetPointsAt(o.Shapes[sid].Points, grid.Pt(x, y), true)
 		if acc == nil {
 			acc = cur.Clone()
 		} else {
-			acc.AndNot(invert(cur))
+			acc.And(cur)
 		}
 		if acc.Count() == 0 {
 			empty = true
@@ -52,14 +52,6 @@ func compulsoryRegion(o *Object) *grid.Bitmap {
 		return nil
 	}
 	return acc
-}
-
-// invert returns the complement of b (freshly allocated).
-func invert(b *grid.Bitmap) *grid.Bitmap {
-	out := grid.NewBitmap(b.W(), b.H())
-	out.SetRect(grid.RectXYWH(0, 0, b.W(), b.H()), true)
-	out.AndNot(b)
-	return out
 }
 
 // compulsoryPair prunes object b against a's compulsory region and vice

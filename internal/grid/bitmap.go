@@ -75,8 +75,16 @@ func (b *Bitmap) SetRect(r Rect, v bool) {
 
 // SetPoints sets the bit at each point (clipped) to v.
 func (b *Bitmap) SetPoints(ps []Point, v bool) {
+	b.SetPointsAt(ps, Point{}, v)
+}
+
+// SetPointsAt sets the bit at each of the points ps, translated by at,
+// to v. Points landing outside the bitmap are ignored, as in SetPoints.
+// It is the painting twin of AnyAt: a footprint is painted, tested and
+// erased at its anchor without materialising the translated points.
+func (b *Bitmap) SetPointsAt(ps []Point, at Point, v bool) {
 	for _, p := range ps {
-		b.Set(p.X, p.Y, v)
+		b.Set(p.X+at.X, p.Y+at.Y, v)
 	}
 }
 
@@ -144,6 +152,17 @@ func (b *Bitmap) Or(src *Bitmap) {
 	}
 	for i, w := range src.words {
 		b.words[i] |= w
+	}
+}
+
+// And clears every bit that is not set in src. Dimensions must match;
+// a mismatch panics.
+func (b *Bitmap) And(src *Bitmap) {
+	if b.w != src.w || b.h != src.h {
+		panic("grid: And dimension mismatch")
+	}
+	for i, w := range src.words {
+		b.words[i] &= w
 	}
 }
 

@@ -101,6 +101,68 @@ func TestBitmapBooleanOps(t *testing.T) {
 	if a.Get(2, 1) || a.Count() != 1 {
 		t.Fatal("AndNot failed")
 	}
+	a.Or(b)
+	b.Set(7, 0, true)
+	a.And(b)
+	if !a.Get(2, 1) || a.Get(1, 0) || a.Get(7, 0) || a.Count() != 1 {
+		t.Fatal("And failed")
+	}
+}
+
+// SetPointsAt must paint exactly what SetPoints paints for the
+// translated points, including anchors that push the footprint past
+// each edge (clipped tiles are ignored) and negative anchors.
+func TestBitmapSetPointsAtMatchesTranslated(t *testing.T) {
+	shape := []Point{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {2, 2}, {65, 1}}
+	for _, tc := range []struct {
+		name string
+		at   Point
+	}{
+		{"origin", Pt(0, 0)},
+		{"interior", Pt(3, 2)},
+		{"negative", Pt(-1, -1)},
+		{"clip-left", Pt(-2, 3)},
+		{"clip-bottom", Pt(4, -2)},
+		{"clip-right", Pt(68, 3)},
+		{"clip-top", Pt(5, 6)},
+		{"clip-all", Pt(-100, 100)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			moved := make([]Point, len(shape))
+			for i, p := range shape {
+				moved[i] = p.Add(tc.at)
+			}
+			for _, v := range []bool{true, false} {
+				got, want := NewBitmap(70, 8), NewBitmap(70, 8)
+				if !v {
+					got.SetRect(got.Bounds(), true)
+					want.SetRect(want.Bounds(), true)
+				}
+				got.SetPointsAt(shape, tc.at, v)
+				want.SetPoints(moved, v)
+				if got.String() != want.String() {
+					t.Fatalf("v=%v: SetPointsAt\n%s\nwant\n%s", v, got, want)
+				}
+			}
+		})
+	}
+}
+
+// The footprint primitives sit on every solver and placer hot path and
+// must never allocate.
+func TestBitmapFootprintOpsDoNotAllocate(t *testing.T) {
+	b := NewBitmap(70, 8)
+	shape := []Point{{0, 0}, {1, 0}, {0, 1}, {64, 2}}
+	at := Pt(3, 2)
+	if n := testing.AllocsPerRun(100, func() {
+		b.SetPointsAt(shape, at, true)
+		b.SetPointsAt(shape, at, false)
+	}); n != 0 {
+		t.Errorf("SetPointsAt allocates %v per run", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { b.AnyAt(shape, at) }); n != 0 {
+		t.Errorf("AnyAt allocates %v per run", n)
+	}
 }
 
 func TestBitmapDimensionMismatchPanics(t *testing.T) {
@@ -108,6 +170,7 @@ func TestBitmapDimensionMismatchPanics(t *testing.T) {
 	b := NewBitmap(5, 4)
 	for name, f := range map[string]func(){
 		"Or":         func() { a.Or(b) },
+		"And":        func() { a.And(b) },
 		"AndNot":     func() { a.AndNot(b) },
 		"Intersects": func() { a.Intersects(b) },
 		"CopyFrom":   func() { a.CopyFrom(b) },

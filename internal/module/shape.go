@@ -31,10 +31,12 @@ func (t Tile) String() string { return fmt.Sprintf("%v:%s", t.At, t.Kind) }
 // immutable after construction.
 //
 // The paper groups a shape's tiles into per-kind tilesets; Shape exposes
-// the same view through TilesOfKind, but stores a flat normalised list,
-// which is what the placer and the geost kernel consume.
+// the same view through TilesOfKind, but stores a flat normalised list
+// of tile coordinates (the footprint the placer and the geost kernel
+// paint and test) with each tile's kind alongside.
 type Shape struct {
-	tiles  []Tile
+	pts    []grid.Point
+	kinds  []fabric.Kind
 	bounds grid.Rect
 	hist   fabric.Histogram
 	key    string
@@ -49,44 +51,37 @@ func NewShape(tiles []Tile) (*Shape, error) {
 	}
 	ts := make([]Tile, len(tiles))
 	copy(ts, tiles)
-	seen := make(map[grid.Point]bool, len(ts))
-	minX, minY := ts[0].At.X, ts[0].At.Y
-	for _, t := range ts {
-		if !t.Kind.Placeable() {
-			return nil, fmt.Errorf("module: tile %v has unplaceable kind %s", t.At, t.Kind)
-		}
-		if seen[t.At] {
-			return nil, fmt.Errorf("module: duplicate tile at %v", t.At)
-		}
-		seen[t.At] = true
-		if t.At.X < minX {
-			minX = t.At.X
-		}
-		if t.At.Y < minY {
-			minY = t.At.Y
-		}
-	}
-	s := &Shape{tiles: ts}
-	for i := range s.tiles {
-		s.tiles[i].At = s.tiles[i].At.Sub(grid.Pt(minX, minY))
-		s.hist.Add(s.tiles[i].Kind)
-	}
-	sort.Slice(s.tiles, func(i, j int) bool {
-		a, b := s.tiles[i], s.tiles[j]
+	// Canonical order is translation-invariant, so sort before
+	// normalising; duplicate coordinates then sit next to each other.
+	sort.Slice(ts, func(i, j int) bool {
+		a, b := ts[i], ts[j]
 		if a.At != b.At {
 			return a.At.Less(b.At)
 		}
 		return a.Kind < b.Kind
 	})
-	pts := make([]grid.Point, len(s.tiles))
-	for i, t := range s.tiles {
-		pts[i] = t.At
+	minX := ts[0].At.X
+	for i, t := range ts {
+		if !t.Kind.Placeable() {
+			return nil, fmt.Errorf("module: tile %v has unplaceable kind %s", t.At, t.Kind)
+		}
+		if i > 0 && ts[i-1].At == t.At {
+			return nil, fmt.Errorf("module: duplicate tile at %v", t.At)
+		}
+		if t.At.X < minX {
+			minX = t.At.X
+		}
 	}
-	s.bounds = grid.BoundsOf(pts)
+	origin := grid.Pt(minX, ts[0].At.Y)
+	s := &Shape{pts: make([]grid.Point, len(ts)), kinds: make([]fabric.Kind, len(ts))}
 	var sb strings.Builder
-	for _, t := range s.tiles {
-		fmt.Fprintf(&sb, "%d,%d,%d;", t.At.X, t.At.Y, t.Kind)
+	for i, t := range ts {
+		p := t.At.Sub(origin)
+		s.pts[i], s.kinds[i] = p, t.Kind
+		s.hist.Add(t.Kind)
+		fmt.Fprintf(&sb, "%d,%d,%d;", p.X, p.Y, t.Kind)
 	}
+	s.bounds = grid.BoundsOf(s.pts)
 	s.key = sb.String()
 	return s, nil
 }
@@ -100,32 +95,35 @@ func MustShape(tiles []Tile) *Shape {
 	return s
 }
 
-// Tiles returns the normalised tile list. Callers must not mutate it.
-func (s *Shape) Tiles() []Tile { return s.tiles }
+// Tiles returns the normalised tile list in canonical order. The slice
+// is freshly allocated on every call.
+func (s *Shape) Tiles() []Tile {
+	out := make([]Tile, len(s.pts))
+	for i, p := range s.pts {
+		out[i] = Tile{At: p, Kind: s.kinds[i]}
+	}
+	return out
+}
 
 // Points returns the tile coordinates (without kinds) in canonical
-// order. The slice is freshly allocated on every call.
-func (s *Shape) Points() []grid.Point {
-	pts := make([]grid.Point, len(s.tiles))
-	for i, t := range s.tiles {
-		pts[i] = t.At
-	}
-	return pts
-}
+// order: the shape's footprint, to be painted or tested at an anchor
+// with grid.Bitmap's SetPointsAt and AnyAt. The slice is shared and
+// allocation-free; callers must not mutate it.
+func (s *Shape) Points() []grid.Point { return s.pts }
 
 // TilesOfKind returns the tileset of kind k (tiles in canonical order).
 func (s *Shape) TilesOfKind(k fabric.Kind) []grid.Point {
 	var out []grid.Point
-	for _, t := range s.tiles {
-		if t.Kind == k {
-			out = append(out, t.At)
+	for i, p := range s.pts {
+		if s.kinds[i] == k {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
 // Size returns the number of tiles.
-func (s *Shape) Size() int { return len(s.tiles) }
+func (s *Shape) Size() int { return len(s.pts) }
 
 // Bounds returns the tight bounding box (origin (0,0)).
 func (s *Shape) Bounds() grid.Rect { return s.bounds }
@@ -149,12 +147,11 @@ func (s *Shape) Equal(o *Shape) bool { return o != nil && s.key == o.key }
 // Transform returns the shape mapped under t and renormalised. The
 // resource kind of each tile is preserved.
 func (s *Shape) Transform(t grid.Transform) *Shape {
-	tiles := make([]Tile, len(s.tiles))
-	for i, tl := range s.tiles {
-		tiles[i] = Tile{At: t.Apply(tl.At), Kind: tl.Kind}
+	tiles := s.Tiles()
+	for i := range tiles {
+		tiles[i].At = t.Apply(tiles[i].At)
 	}
-	out := MustShape(tiles)
-	return out
+	return MustShape(tiles)
 }
 
 // Transform180 returns the 180°-rotated shape. It is the only
@@ -166,9 +163,9 @@ func (s *Shape) Transform180() *Shape { return s.Transform(grid.Rot180) }
 // String renders the shape as a small resource map, top row first, with
 // '.' for cells of the bounding box not covered by a tile.
 func (s *Shape) String() string {
-	cover := make(map[grid.Point]fabric.Kind, len(s.tiles))
-	for _, t := range s.tiles {
-		cover[t.At] = t.Kind
+	cover := make(map[grid.Point]fabric.Kind, len(s.pts))
+	for i, p := range s.pts {
+		cover[p] = s.kinds[i]
 	}
 	var sb strings.Builder
 	for y := s.bounds.MaxY - 1; y >= 0; y-- {

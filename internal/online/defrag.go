@@ -18,12 +18,9 @@ type Resident struct {
 	At     grid.Point
 }
 
-func (r Resident) tiles() []grid.Point {
-	pts := r.Module.Shape(r.Shape).Points()
-	for i := range pts {
-		pts[i] = pts[i].Add(r.At)
-	}
-	return pts
+// paint sets the resident's footprint on occ to v.
+func (r Resident) paint(occ *grid.Bitmap, v bool) {
+	occ.SetPointsAt(r.Module.Shape(r.Shape).Points(), r.At, v)
 }
 
 // Move relocates one resident module to a new shape/anchor. Moves of a
@@ -84,64 +81,53 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 		return nil, target, nil
 	}
 
-	// Order the moves so each target is free at its turn.
 	occ := grid.NewBitmap(region.W(), region.H())
-	cur := make(map[TaskID][]grid.Point, len(residents))
 	for _, r := range residents {
-		pts := r.tiles()
-		occ.SetPoints(pts, true)
-		cur[r.ID] = pts
+		r.paint(occ, true)
 	}
-	var todo []pendingMove
-	for i, r := range residents {
-		p := target.Placements[i]
-		if p.At == r.At && p.ShapeIndex == r.Shape {
-			continue
-		}
-		todo = append(todo, pendingMove{id: r.ID, shape: p.ShapeIndex, at: p.At, target: p.Tiles()})
-	}
-	moves, stuck := orderMoves(occ, cur, todo)
+	moves, stuck := orderMoves(occ, residents, target.Placements)
 	if stuck > 0 {
 		return nil, target, fmt.Errorf("online: compaction blocked by a relocation cycle (%d modules)", stuck)
 	}
 	return moves, target, nil
 }
 
-// pendingMove is one relocation awaiting ordering: where a resident
-// must end up (shape/anchor plus the absolute target tiles).
-type pendingMove struct {
-	id     TaskID
-	shape  int
-	at     grid.Point
-	target []grid.Point
-}
-
-// orderMoves sequences relocations so every move's target tiles are
-// free when its turn comes: repeatedly pick any pending move whose
-// target is unoccupied once its own current tiles are vacated (a module
-// leaves its old site atomically during reconfiguration), apply it, and
-// emit it. occ must hold the occupancy of all residents and cur their
-// current absolute tiles; both are advanced in place to the post-move
+// orderMoves is the one relocation planner behind replanning and
+// compaction: it turns a CP target layout (target[i] is where
+// residents[i] must end up; trailing entries, such as a replan's
+// newcomer, are ignored) into a move schedule in which every move's
+// target tiles are free when its turn comes. Residents already at their
+// target stay put. It repeatedly picks, in resident order, any pending
+// move whose target is unoccupied once the module's current tiles are
+// vacated (a module leaves its old site atomically during
+// reconfiguration), applies it, and emits it. occ must hold the
+// occupancy of all residents and is advanced in place to the post-move
 // state. The second result is the number of moves left unordered —
 // non-zero means a relocation cycle that cannot be broken without a
-// staging location, and occ/cur then reflect only the ordered prefix.
-func orderMoves(occ *grid.Bitmap, cur map[TaskID][]grid.Point, todo []pendingMove) ([]Move, int) {
+// staging location, and occ then reflects only the ordered prefix.
+func orderMoves(occ *grid.Bitmap, residents []Resident, target []core.Placement) ([]Move, int) {
+	var todo []int
+	for i, r := range residents {
+		if p := target[i]; p.At != r.At || p.ShapeIndex != r.Shape {
+			todo = append(todo, i)
+		}
+	}
 	var moves []Move
 	for len(todo) > 0 {
 		progressed := false
-		for i := 0; i < len(todo); i++ {
-			m := todo[i]
-			occ.SetPoints(cur[m.id], false)
-			if occ.AnyAt(m.target, grid.Pt(0, 0)) {
-				occ.SetPoints(cur[m.id], true)
+		for j := 0; j < len(todo); j++ {
+			r, p := residents[todo[j]], target[todo[j]]
+			pts := p.Shape().Points()
+			r.paint(occ, false)
+			if occ.AnyAt(pts, p.At) {
+				r.paint(occ, true)
 				continue
 			}
-			occ.SetPoints(m.target, true)
-			cur[m.id] = m.target
-			moves = append(moves, Move{ID: m.id, Shape: m.shape, At: m.at})
-			todo = append(todo[:i], todo[i+1:]...)
+			occ.SetPointsAt(pts, p.At, true)
+			moves = append(moves, Move{ID: r.ID, Shape: p.ShapeIndex, At: p.At})
+			todo = append(todo[:j], todo[j+1:]...)
 			progressed = true
-			i--
+			j--
 		}
 		if !progressed {
 			return moves, len(todo)
@@ -162,7 +148,7 @@ func ApplyMoves(region *fabric.Region, residents []Resident, moves []Move) ([]Re
 	copy(out, residents)
 	for i, r := range out {
 		byID[r.ID] = i
-		occ.SetPoints(r.tiles(), true)
+		r.paint(occ, true)
 	}
 	for _, m := range moves {
 		i, ok := byID[m.ID]
@@ -170,7 +156,7 @@ func ApplyMoves(region *fabric.Region, residents []Resident, moves []Move) ([]Re
 			return nil, fmt.Errorf("online: move for unknown resident %d", m.ID)
 		}
 		r := out[i]
-		occ.SetPoints(r.tiles(), false)
+		r.paint(occ, false)
 		next := Resident{ID: r.ID, Module: r.Module, Shape: m.Shape, At: m.At}
 		pts, err := ValidatePlacement(region, occ, next.Module, Placement{Shape: m.Shape, At: m.At})
 		if err != nil {

@@ -7,14 +7,6 @@ import (
 	"repro/internal/module"
 )
 
-// residentRec tracks one placed task inside a manager.
-type residentRec struct {
-	module *module.Module
-	shape  int
-	at     grid.Point
-	pts    []grid.Point
-}
-
 // base carries the bookkeeping shared by all managers: the region, an
 // occupancy mirror, per-shape anchor caches (the fused M_a ∧ M_b
 // constraint, cached by shape fingerprint since tasks reuse module
@@ -23,14 +15,14 @@ type base struct {
 	region   *fabric.Region
 	occ      *grid.Bitmap
 	anchors  map[string]*grid.Bitmap
-	resident map[TaskID]residentRec
+	resident map[TaskID]Resident
 }
 
 func (b *base) reset(region *fabric.Region) {
 	b.region = region
 	b.occ = grid.NewBitmap(region.W(), region.H())
 	b.anchors = map[string]*grid.Bitmap{}
-	b.resident = map[TaskID]residentRec{}
+	b.resident = map[TaskID]Resident{}
 }
 
 func (b *base) anchorsFor(s *module.Shape) *grid.Bitmap {
@@ -52,13 +44,9 @@ func (b *base) freeAt(s *module.Shape, x, y int) bool {
 }
 
 func (b *base) commit(id TaskID, m *module.Module, si, x, y int) {
-	s := m.Shape(si)
-	pts := make([]grid.Point, 0, s.Size())
-	for _, p := range s.Points() {
-		pts = append(pts, p.Add(grid.Pt(x, y)))
-	}
-	b.occ.SetPoints(pts, true)
-	b.resident[id] = residentRec{module: m, shape: si, at: grid.Pt(x, y), pts: pts}
+	r := Resident{ID: id, Module: m, Shape: si, At: grid.Pt(x, y)}
+	r.paint(b.occ, true)
+	b.resident[id] = r
 }
 
 // Release implements Manager.
@@ -68,7 +56,7 @@ func (b *base) Release(id TaskID) {
 		return
 	}
 	delete(b.resident, id)
-	b.occ.SetPoints(rec.pts, false)
+	rec.paint(b.occ, false)
 }
 
 // Preplace imposes an externally computed placement on the manager: the

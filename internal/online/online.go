@@ -151,8 +151,7 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 
 	mgr.Reset(region)
 	occ := grid.NewBitmap(region.W(), region.H())
-	resident := map[TaskID][]grid.Point{}
-	residentMod := map[TaskID]*module.Module{}
+	resident := map[TaskID]Resident{}
 	var deps departureHeap
 
 	stats := &Stats{}
@@ -169,11 +168,10 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 		}
 	}
 	release := func(id TaskID) {
-		pts := resident[id]
+		r := resident[id]
 		delete(resident, id)
-		delete(residentMod, id)
-		occ.SetPoints(pts, false)
-		occupiedNow -= len(pts)
+		r.paint(occ, false)
+		occupiedNow -= r.Module.Shape(r.Shape).Size()
 		mgr.Release(id)
 	}
 
@@ -209,22 +207,23 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 		// any other reconfiguration.
 		if mr, isMR := mgr.(MoveReporter); isMR {
 			for _, mv := range mr.PendingMoves() {
-				rec, live := residentMod[mv.ID]
+				r, live := resident[mv.ID]
 				if !live {
 					return nil, fmt.Errorf("online: manager %s moved unknown task %d", mgr.Name(), mv.ID)
 				}
-				occ.SetPoints(resident[mv.ID], false)
-				occupiedNow -= len(resident[mv.ID])
-				pts, err := ValidatePlacement(region, occ, rec, Placement{Shape: mv.Shape, At: mv.At})
+				r.paint(occ, false)
+				occupiedNow -= r.Module.Shape(r.Shape).Size()
+				pts, err := ValidatePlacement(region, occ, r.Module, Placement{Shape: mv.Shape, At: mv.At})
 				if err != nil {
 					return nil, fmt.Errorf("online: manager %s move of %d: %w", mgr.Name(), mv.ID, err)
 				}
 				occ.SetPoints(pts, true)
 				occupiedNow += len(pts)
-				resident[mv.ID] = pts
+				r.Shape, r.At = mv.Shape, mv.At
+				resident[mv.ID] = r
 				stats.Moves++
 				reg.Counter("online_moves_total").Inc()
-				shape := rec.Shape(mv.Shape)
+				shape := r.Module.Shape(mv.Shape)
 				frames := fm.FrameCount(region, grid.RectXYWH(mv.At.X, mv.At.Y, shape.W(), shape.H()))
 				stats.TotalReconfig += fm.ReconfigTime(frames)
 			}
@@ -239,8 +238,7 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 		}
 		occ.SetPoints(pts, true)
 		occupiedNow += len(pts)
-		resident[task.ID] = pts
-		residentMod[task.ID] = task.Module
+		resident[task.ID] = Resident{ID: task.ID, Module: task.Module, Shape: p.Shape, At: p.At}
 		stats.Accepted++
 
 		shape := task.Module.Shape(p.Shape)

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/grid"
 	"repro/internal/module"
 	"repro/internal/obs"
@@ -60,55 +61,62 @@ func (m *ReplanFirstFit) TryPlace(t Task) (Placement, bool) {
 func (m *ReplanFirstFit) replan(t Task) (Placement, bool) {
 	m.Metrics.Counter("online_replans_total").Inc()
 	defer m.Metrics.Timer("online_replan").Stop()
-	// Deterministic resident order.
-	ids := make([]TaskID, 0, len(m.resident))
-	//solverlint:allow nondeterminism keys are sorted immediately below before any decision depends on them
-	for id := range m.resident {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	mods := make([]*module.Module, 0, len(ids)+1)
-	for _, id := range ids {
-		mods = append(mods, m.resident[id].module)
-	}
-	mods = append(mods, t.Module)
-
-	budget := m.Budget
-	budget.FirstSolutionOnly = true
-	target, err := core.New(m.region, budget).Place(mods)
-	if err != nil || !target.Found {
+	occ, moves, newcomer, ok := replanLayout(m.region, m.occ, sortedResidents(m.resident), t.Module, m.Budget)
+	if !ok {
 		return Placement{}, false
 	}
-
-	// Order the resident relocations (the newcomer configures last, onto
-	// cells that are free once all moves are applied).
-	occ := m.occ.Clone()
-	cur := map[TaskID][]grid.Point{}
-	var todo []pendingMove
-	for i, id := range ids {
-		p := target.Placements[i]
-		rec := m.resident[id]
-		cur[id] = rec.pts
-		if p.At == rec.at && p.ShapeIndex == rec.shape {
-			continue
-		}
-		todo = append(todo, pendingMove{id: id, shape: p.ShapeIndex, at: p.At, target: p.Tiles()})
-	}
-	moves, stuck := orderMoves(occ, cur, todo)
-	if stuck > 0 {
-		return Placement{}, false // relocation cycle: give up
-	}
-
 	// Commit the plan to the manager's own state.
-	for _, mv := range moves {
-		rec := m.resident[mv.ID]
-		m.occ.SetPoints(rec.pts, false)
-		m.commit(mv.ID, rec.module, mv.Shape, mv.At.X, mv.At.Y)
-	}
+	m.occ = occ
+	moveResidents(m.resident, moves)
 	m.pending = moves
-	newcomer := target.Placements[len(target.Placements)-1]
 	m.commit(t.ID, t.Module, newcomer.ShapeIndex, newcomer.At.X, newcomer.At.Y)
 	m.Metrics.Counter("online_replans_success_total").Inc()
 	return Placement{Shape: newcomer.ShapeIndex, At: newcomer.At}, true
+}
+
+// replanLayout is the admission replan shared by ReplanFirstFit and the
+// session engine: a first-solution CP layout of the residents (in the
+// given order) plus the newcomer mod, and the resident relocations
+// ordered so every intermediate state is valid. It returns a copy of occ
+// advanced past the moves — the newcomer configures last, onto cells
+// free once all moves are applied — and ok=false when no layout or no
+// safe move order exists.
+func replanLayout(region *fabric.Region, occ *grid.Bitmap, res []Resident, mod *module.Module, budget core.Options) (*grid.Bitmap, []Move, core.Placement, bool) {
+	mods := make([]*module.Module, 0, len(res)+1)
+	for _, r := range res {
+		mods = append(mods, r.Module)
+	}
+	mods = append(mods, mod)
+	budget.FirstSolutionOnly = true
+	target, err := core.New(region, budget).Place(mods)
+	if err != nil || !target.Found {
+		return nil, nil, core.Placement{}, false
+	}
+	occ = occ.Clone()
+	moves, stuck := orderMoves(occ, res, target.Placements)
+	if stuck > 0 {
+		return nil, nil, core.Placement{}, false // relocation cycle: give up
+	}
+	return occ, moves, target.Placements[len(res)], true
+}
+
+// moveResidents applies an ordered move schedule to a resident table.
+func moveResidents(residents map[TaskID]Resident, moves []Move) {
+	for _, mv := range moves {
+		r := residents[mv.ID]
+		r.Shape, r.At = mv.Shape, mv.At
+		residents[mv.ID] = r
+	}
+}
+
+// sortedResidents returns a resident table in ascending id order, the
+// deterministic order every replan and compaction solves in.
+func sortedResidents(residents map[TaskID]Resident) []Resident {
+	out := make([]Resident, 0, len(residents))
+	//solverlint:allow nondeterminism the slice is sorted by id immediately below
+	for _, r := range residents {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

@@ -2,7 +2,6 @@ package online
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -174,41 +173,14 @@ func (s *State) placeGreedy(id TaskID, mod *module.Module) (PlaceOutcome, bool, 
 // valid, then the manager re-seeded onto the new layout.
 func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error) {
 	s.replans++
-	res := s.residentsSorted()
-	mods := make([]*module.Module, 0, len(res)+1)
-	for _, r := range res {
-		mods = append(mods, r.Module)
-	}
-	mods = append(mods, mod)
-
-	budget := s.replan
-	budget.FirstSolutionOnly = true
-	target, err := core.New(s.region, budget).Place(mods)
-	if err != nil || !target.Found {
+	occ, moves, newcomer, ok := replanLayout(s.region, s.occ, s.Residents(), mod, s.replan)
+	if !ok {
+		// No layout, or a feasible layout with no safe move order: treat
+		// as a rejection rather than risk an invalid intermediate state.
 		s.rejected++
 		return PlaceOutcome{}, nil
 	}
 
-	occ := s.occ.Clone()
-	cur := make(map[TaskID][]grid.Point, len(res))
-	var todo []pendingMove
-	for i, r := range res {
-		p := target.Placements[i]
-		cur[r.ID] = r.tiles()
-		if p.At == r.At && p.ShapeIndex == r.Shape {
-			continue
-		}
-		todo = append(todo, pendingMove{id: r.ID, shape: p.ShapeIndex, at: p.At, target: p.Tiles()})
-	}
-	moves, stuck := orderMoves(occ, cur, todo)
-	if stuck > 0 {
-		// A feasible layout exists but no safe move order does; treat as
-		// a rejection rather than risk an invalid intermediate state.
-		s.rejected++
-		return PlaceOutcome{}, nil
-	}
-
-	newcomer := target.Placements[len(target.Placements)-1]
 	p := Placement{Shape: newcomer.ShapeIndex, At: newcomer.At}
 	pts, err := ValidatePlacement(s.region, occ, mod, p)
 	if err != nil {
@@ -223,10 +195,7 @@ func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error)
 	out.Reconfig += s.cost(mod.Shape(p.Shape), p.At)
 
 	s.occ = occ
-	for _, mv := range moves {
-		r := s.residents[mv.ID]
-		s.residents[mv.ID] = Resident{ID: r.ID, Module: r.Module, Shape: mv.Shape, At: mv.At}
-	}
+	moveResidents(s.residents, moves)
 	s.residents[id] = Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At}
 	if err := s.reseedManager(); err != nil {
 		return PlaceOutcome{}, err
@@ -245,7 +214,7 @@ func (s *State) Release(id TaskID) bool {
 		return false
 	}
 	delete(s.residents, id)
-	s.occ.SetPoints(r.tiles(), false)
+	r.paint(s.occ, false)
 	s.mgr.Release(id)
 	return true
 }
@@ -288,7 +257,7 @@ func (s *State) Defrag() (DefragOutcome, error) {
 		return out, nil
 	}
 	s.defrags++
-	res := s.residentsSorted()
+	res := s.Residents()
 	moves, _, err := PlanCompaction(s.region, res, s.replan)
 	if err != nil {
 		return DefragOutcome{}, err
@@ -302,7 +271,7 @@ func (s *State) Defrag() (DefragOutcome, error) {
 	}
 	occ := grid.NewBitmap(s.region.W(), s.region.H())
 	for _, r := range after {
-		occ.SetPoints(r.tiles(), true)
+		r.paint(occ, true)
 		s.residents[r.ID] = r
 	}
 	s.occ = occ
@@ -358,22 +327,12 @@ func (s *State) Stats() StateStats {
 }
 
 // Residents returns the current residency in ascending id order.
-func (s *State) Residents() []Resident { return s.residentsSorted() }
+func (s *State) Residents() []Resident { return sortedResidents(s.residents) }
 
 // Resident looks up one resident by id.
 func (s *State) Resident(id TaskID) (Resident, bool) {
 	r, ok := s.residents[id]
 	return r, ok
-}
-
-func (s *State) residentsSorted() []Resident {
-	out := make([]Resident, 0, len(s.residents))
-	//solverlint:allow nondeterminism the slice is sorted by id immediately below
-	for _, r := range s.residents {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // reseedManager rebuilds the greedy manager's internal state from the
@@ -382,7 +341,7 @@ func (s *State) residentsSorted() []Resident {
 // refusal here is an invariant violation, not a capacity problem.
 func (s *State) reseedManager() error {
 	s.mgr.Reset(s.region)
-	for _, r := range s.residentsSorted() {
+	for _, r := range s.Residents() {
 		if !s.pre.Preplace(r.ID, r.Module, Placement{Shape: r.Shape, At: r.At}) {
 			return fmt.Errorf("online: manager %s rejected re-seeded resident %d at %v", s.mgr.Name(), r.ID, r.At)
 		}

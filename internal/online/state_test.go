@@ -1,10 +1,14 @@
 package online
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/grid"
+	"repro/internal/workload"
 )
 
 func TestNewStateManagerSelection(t *testing.T) {
@@ -58,6 +62,61 @@ func TestStatePlaceReleaseLifecycle(t *testing.T) {
 	// The freed space is reusable, both in the shadow and the manager.
 	if out, err = st.Place(2, clbModule("b", 8, 8)); err != nil || !out.Placed {
 		t.Fatalf("region not fully reusable after release: %+v, %v", out, err)
+	}
+
+	// A seeded Place/Release/Defrag churn per session manager on a
+	// heterogeneous region. Residents are stored as placements only, so
+	// after every step the shadow occupancy must equal a from-scratch
+	// repaint of Residents() — each placement revalidated — and the
+	// reported occupied tiles must match it.
+	spec := fabric.Spec{Name: "churn", W: 24, H: 12, BRAMColumns: []int{5, 14}}
+	hetero := spec.MustBuild().FullRegion()
+	for _, name := range SessionManagers() {
+		t.Run(name, func(t *testing.T) {
+			st, err := NewState(hetero, StateConfig{
+				Manager: name, UseAlternatives: true, Replan: core.Options{StallNodes: 50},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			next := TaskID(1)
+			for step := 0; step < 60; step++ {
+				res := st.Residents()
+				switch r := rng.Float64(); {
+				case r < 0.55 || len(res) == 0:
+					mods := workload.MustGenerate(workload.Config{
+						NumModules: 1, CLBMin: 4, CLBMax: 12, BRAMMax: 1, Alternatives: 2,
+					}, rng)
+					if _, err := st.Place(next, mods[0]); err != nil {
+						t.Fatalf("step %d place: %v", step, err)
+					}
+					next++
+				case r < 0.85:
+					st.Release(res[rng.Intn(len(res))].ID)
+				default:
+					// A relocation cycle is a refusal that leaves the
+					// session unchanged; the invariants below still hold.
+					if _, err := st.Defrag(); err != nil && !strings.Contains(err.Error(), "relocation cycle") {
+						t.Fatalf("step %d defrag: %v", step, err)
+					}
+				}
+				repaint := grid.NewBitmap(hetero.W(), hetero.H())
+				for _, r := range st.Residents() {
+					pts, err := ValidatePlacement(hetero, repaint, r.Module, Placement{Shape: r.Shape, At: r.At})
+					if err != nil {
+						t.Fatalf("step %d: resident %d: %v", step, r.ID, err)
+					}
+					repaint.SetPoints(pts, true)
+				}
+				if got, want := st.occ.String(), repaint.String(); got != want {
+					t.Fatalf("step %d: occupancy\n%s\nrepaint of residents\n%s", step, got, want)
+				}
+				if got := st.Stats().OccupiedTiles; got != repaint.Count() {
+					t.Fatalf("step %d: OccupiedTiles %d, repaint has %d", step, got, repaint.Count())
+				}
+			}
+		})
 	}
 }
 
