@@ -396,7 +396,7 @@ func BenchmarkOnlineManagers(b *testing.B) {
 		b.Run(mgr.Name(), func(b *testing.B) {
 			var last *online.Stats
 			for i := 0; i < b.N; i++ {
-				st, err := online.Simulate(region, mgr, tasks, fabric.DefaultFrameModel())
+				st, err := online.Simulate(region, mgr, tasks, fabric.DefaultFrameModel(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -312,7 +312,8 @@ func (w *sessionWorker) depart() {
 }
 
 // defrag asks the session to compact and replays the move schedule on
-// the shadow.
+// the shadow. A defrag blocked by a relocation cycle is a normal
+// outcome, but it must move nothing.
 func (w *sessionWorker) defrag() {
 	res, err := w.c.Do(context.Background(), "/v1/sessions/"+w.id+"/defrag", nil)
 	w.count(res, err)
@@ -328,6 +329,10 @@ func (w *sessionWorker) defrag() {
 	var resp service.SessionDefragResponse
 	if err := json.Unmarshal(res.Body, &resp); err != nil {
 		w.agg.violation(int64(w.worker), "defrag body: %v", err)
+		return
+	}
+	if resp.Blocked > 0 && len(resp.Moves) > 0 {
+		w.agg.violation(int64(w.worker), "defrag blocked by %d modules yet moved %d", resp.Blocked, len(resp.Moves))
 		return
 	}
 	w.applyMoves(int64(w.worker), resp.Moves)

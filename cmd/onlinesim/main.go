@@ -115,26 +115,31 @@ func run(o cliOpts) (err error) {
 	fmt.Printf("region %s (%dx%d), %d arrivals\n\n",
 		region.Device().Name(), region.W(), region.H(), len(ts))
 
-	managers := online.Managers()
-	// The CP-replan manager is expensive (one constraint solve per
-	// rejection), so it only runs when explicitly requested.
+	type policy struct {
+		name   string
+		mgr    online.Manager
+		replan *core.Options
+	}
+	var policies []policy
+	for _, mgr := range online.Managers() {
+		policies = append(policies, policy{mgr.Name(), mgr, nil})
+	}
+	// CP replan is expensive (one constraint solve per rejection), so it
+	// only runs when explicitly requested.
 	if o.manager == "first-fit+cp-replan" {
-		managers = append(managers, &online.ReplanFirstFit{
-			FirstFit: online.FirstFit{UseAlternatives: true},
-			Budget:   core.Options{Workers: o.workers, Recorder: session.Recorder, Metrics: session.Registry},
-			Metrics:  session.Registry,
-		})
+		policies = append(policies, policy{o.manager, &online.FirstFit{UseAlternatives: true},
+			&core.Options{Workers: o.workers, Recorder: session.Recorder, Metrics: session.Registry}})
 	}
 	ran := false
-	for _, mgr := range managers {
-		if o.manager != "" && mgr.Name() != o.manager {
+	for _, p := range policies {
+		if o.manager != "" && p.name != o.manager {
 			continue
 		}
-		st, err := online.SimulateObserved(region, mgr, ts, fabric.DefaultFrameModel(), session.Registry)
+		st, err := online.SimulateObserved(region, p.mgr, ts, fabric.DefaultFrameModel(), p.replan, session.Registry)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-28s %v\n", mgr.Name(), st)
+		fmt.Printf("%-28s %v\n", p.name, st)
 		ran = true
 	}
 	if !ran {

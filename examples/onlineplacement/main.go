@@ -45,7 +45,7 @@ func main() {
 		region.W(), region.H(), region.Histogram(), len(tasks))
 
 	for _, mgr := range online.Managers() {
-		st, err := online.Simulate(region, mgr, tasks, fabric.DefaultFrameModel())
+		st, err := online.Simulate(region, mgr, tasks, fabric.DefaultFrameModel(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func TestIntegrationOnlineThenCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := &online.FirstFit{UseAlternatives: true}
-	if _, err := online.Simulate(region, mgr, tasks, fabric.DefaultFrameModel()); err != nil {
+	if _, err := online.Simulate(region, mgr, tasks, fabric.DefaultFrameModel(), nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -15,23 +15,13 @@ import (
 //   - WaitGroup.Done on a wait group that no code in the package ever
 //     Adds to: the counter goes negative and panics at runtime, or the
 //     Done is dead ceremony.
-//   - sync types (Mutex, RWMutex, WaitGroup, Once, Cond, Map, Pool)
-//     passed or copied by value: the copy has its own state, so the
-//     original's lock no longer guards anything the copy touches.
-//     Parameters and results must use pointers; assignments from an
-//     existing value (x := s.mu, y := *mup) are flagged, composite
-//     literals and fresh declarations are not.
+//
+// sync values copied by value are go vet's copylocks check, which
+// make lint and CI already run, so this analyzer does not repeat it.
 var SyncMisuse = &Analyzer{
 	Name: "syncmisuse",
-	Doc:  "no WaitGroup.Add inside the spawned goroutine, no Done without a package-visible Add, no sync types copied by value",
+	Doc:  "no WaitGroup.Add inside the spawned goroutine, no Done without a package-visible Add (by-value sync copies are go vet's copylocks)",
 	Run:  runSyncMisuse,
-}
-
-// syncValueTypes are the sync types whose by-value copy is always a
-// bug.
-var syncValueTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Map": true, "Pool": true,
 }
 
 func runSyncMisuse(pass *Pass) error {
@@ -60,18 +50,6 @@ func runSyncMisuse(pass *Pass) error {
 						call *ast.CallExpr
 						name string
 					}{recv, n, waitGroupRecvName(n)})
-				}
-			case *ast.FuncDecl:
-				checkSyncByValueSignature(pass, n.Type)
-			case *ast.FuncLit:
-				checkSyncByValueSignature(pass, n.Type)
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkSyncCopyExpr(pass, rhs)
-				}
-			case *ast.ValueSpec:
-				for _, v := range n.Values {
-					checkSyncCopyExpr(pass, v)
 				}
 			}
 			return true
@@ -138,63 +116,6 @@ func waitGroupRecvName(call *ast.CallExpr) string {
 		return types.ExprString(sel.X)
 	}
 	return "wait group"
-}
-
-// checkSyncByValueSignature flags non-pointer sync-typed parameters
-// and results.
-func checkSyncByValueSignature(pass *Pass, ft *ast.FuncType) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := pass.TypeOf(f.Type)
-			if t == nil {
-				continue
-			}
-			if name := syncTypeName(t); name != "" {
-				pass.Reportf(f.Type.Pos(),
-					"sync.%s %s by value: the callee works on a copy whose state diverges from the original (use *sync.%s)",
-					name, what, name)
-			}
-		}
-	}
-	check(ft.Params, "passed")
-	check(ft.Results, "returned")
-}
-
-// checkSyncCopyExpr flags expressions that copy an existing sync value
-// (reading a variable, field, element or dereference of sync type).
-// Fresh values — composite literals, new(T) — are fine.
-func checkSyncCopyExpr(pass *Pass, expr ast.Expr) {
-	switch expr.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := pass.TypeOf(expr)
-	if t == nil {
-		return
-	}
-	if name := syncTypeName(t); name != "" {
-		pass.Reportf(expr.Pos(),
-			"copying a sync.%s by value: the copy's state diverges from the original (keep a *sync.%s instead)",
-			name, name)
-	}
-}
-
-// syncTypeName returns the sync type name when t is a non-pointer
-// sync value type (or a same-named fixture stand-in), else "".
-func syncTypeName(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	name := named.Obj().Name()
-	if !syncValueTypes[name] {
-		return ""
-	}
-	return name
 }
 
 // isNamedSyncType reports whether t is (a pointer to) a named type

@@ -41,43 +41,3 @@ type pool struct {
 func (p *pool) Stop() {
 	p.done.Done() // want `nothing in this package ever calls Add`
 }
-
-// lockCopy receives a mutex by value: it locks a private copy.
-func lockCopy(mu sync.Mutex) { // want `sync\.Mutex passed by value`
-	mu.Lock()
-	defer mu.Unlock()
-}
-
-// lockPtr is the good signature: the pointer shares the lock.
-func lockPtr(mu *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
-}
-
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-// copyMu snapshots the hot mutex by value.
-func copyMu(g *guarded) {
-	cp := g.mu // want `copying a sync\.Mutex by value`
-	cp.Lock()
-	cp.Unlock()
-}
-
-// fresh is fine: a new declaration is not a copy of live state.
-func fresh() {
-	var mu sync.Mutex
-	mu.Lock()
-	mu.Unlock()
-}
-
-// legacyCopy keeps a by-value snapshot during shutdown, when the
-// original is provably quiescent; the pragma records that.
-func legacyCopy(g *guarded) {
-	//solverlint:allow syncmisuse fixture: frozen snapshot during shutdown quiescence
-	cp := g.mu
-	cp.Lock()
-	cp.Unlock()
-}

@@ -63,7 +63,7 @@ func OnlineComparison(cfg RunConfig, stream online.StreamConfig) ([]OnlineRow, e
 			return nil, fmt.Errorf("experiments: online run %d: %w", run, err)
 		}
 		for mi, mgr := range managers {
-			st, err := online.Simulate(cfg.Region, mgr, tasks, fabric.DefaultFrameModel())
+			st, err := online.Simulate(cfg.Region, mgr, tasks, fabric.DefaultFrameModel(), nil)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: online run %d (%s): %w", run, mgr.Name(), err)
 			}

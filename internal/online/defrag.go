@@ -43,20 +43,30 @@ type Move struct {
 // target layout cannot be computed. A nil move list with a nil error
 // means the residency is already as tight as the placer can make it.
 func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Options) ([]Move, *core.Result, error) {
+	moves, target, stuck, err := planCompaction(region, residents, opts)
+	if err == nil && stuck > 0 {
+		err = fmt.Errorf("online: compaction blocked by a relocation cycle (%d modules)", stuck)
+	}
+	return moves, target, err
+}
+
+// planCompaction is PlanCompaction reporting a relocation cycle as the
+// number of modules left unordered (with no moves) instead of an error.
+func planCompaction(region *fabric.Region, residents []Resident, opts core.Options) ([]Move, *core.Result, int, error) {
 	if len(residents) == 0 {
-		return nil, nil, fmt.Errorf("online: no residents to compact")
+		return nil, nil, 0, fmt.Errorf("online: no residents to compact")
 	}
 	seen := map[TaskID]bool{}
 	mods := make([]*module.Module, len(residents))
 	for i, r := range residents {
 		if r.Module == nil {
-			return nil, nil, fmt.Errorf("online: resident %d has no module", r.ID)
+			return nil, nil, 0, fmt.Errorf("online: resident %d has no module", r.ID)
 		}
 		if r.Shape < 0 || r.Shape >= r.Module.NumShapes() {
-			return nil, nil, fmt.Errorf("online: resident %d has invalid shape %d", r.ID, r.Shape)
+			return nil, nil, 0, fmt.Errorf("online: resident %d has invalid shape %d", r.ID, r.Shape)
 		}
 		if seen[r.ID] {
-			return nil, nil, fmt.Errorf("online: duplicate resident %d", r.ID)
+			return nil, nil, 0, fmt.Errorf("online: duplicate resident %d", r.ID)
 		}
 		seen[r.ID] = true
 		mods[i] = r.Module
@@ -64,10 +74,10 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 
 	target, err := core.New(region, opts).Place(mods)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	if !target.Found {
-		return nil, nil, fmt.Errorf("online: compaction target infeasible")
+		return nil, nil, 0, fmt.Errorf("online: compaction target infeasible")
 	}
 
 	// Current height; bail out early if the target is no better.
@@ -78,7 +88,7 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 		}
 	}
 	if target.Height >= curTop {
-		return nil, target, nil
+		return nil, target, 0, nil
 	}
 
 	occ := grid.NewBitmap(region.W(), region.H())
@@ -87,9 +97,9 @@ func PlanCompaction(region *fabric.Region, residents []Resident, opts core.Optio
 	}
 	moves, stuck := orderMoves(occ, residents, target.Placements)
 	if stuck > 0 {
-		return nil, target, fmt.Errorf("online: compaction blocked by a relocation cycle (%d modules)", stuck)
+		return nil, target, stuck, nil
 	}
-	return moves, target, nil
+	return moves, target, 0, nil
 }
 
 // orderMoves is the one relocation planner behind replanning and
@@ -138,9 +148,9 @@ func orderMoves(occ *grid.Bitmap, residents []Resident, target []core.Placement)
 
 // ApplyMoves replays a move plan over a residency snapshot, validating
 // each step (resource match, bounds, no overlap at the time of the
-// move). It returns the final residency. This is the simulation-side
-// counterpart of PlanCompaction and is used by tests and callers that
-// maintain their own occupancy.
+// move). It returns the final residency. It is the one validated commit
+// path for relocations: the engine adopts a replan's or a compaction's
+// schedule only after it passes here.
 func ApplyMoves(region *fabric.Region, residents []Resident, moves []Move) ([]Resident, error) {
 	byID := make(map[TaskID]int, len(residents))
 	occ := grid.NewBitmap(region.W(), region.H())

@@ -1,81 +1,57 @@
 package online
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/grid"
 	"repro/internal/module"
 )
 
-// base carries the bookkeeping shared by all managers: the region, an
-// occupancy mirror, per-shape anchor caches (the fused M_a ∧ M_b
-// constraint, cached by shape fingerprint since tasks reuse module
-// layouts), and the resident-task table.
-type base struct {
-	region   *fabric.Region
-	occ      *grid.Bitmap
-	anchors  map[string]*grid.Bitmap
-	resident map[TaskID]Resident
+// Space is the one occupancy of an online run or session: the region,
+// its occupancy bitmap, the resident table, and per-shape anchor caches
+// (the fused M_a ∧ M_b constraint, cached by shape fingerprint since
+// tasks reuse module layouts). The engine (State) owns and changes it;
+// managers only read it.
+type Space struct {
+	region    *fabric.Region
+	occ       *grid.Bitmap
+	anchors   map[string]*grid.Bitmap
+	residents map[TaskID]Resident
 }
 
-func (b *base) reset(region *fabric.Region) {
-	b.region = region
-	b.occ = grid.NewBitmap(region.W(), region.H())
-	b.anchors = map[string]*grid.Bitmap{}
-	b.resident = map[TaskID]Resident{}
+func newSpace(region *fabric.Region) Space {
+	return Space{
+		region:    region,
+		occ:       grid.NewBitmap(region.W(), region.H()),
+		anchors:   map[string]*grid.Bitmap{},
+		residents: map[TaskID]Resident{},
+	}
 }
 
-func (b *base) anchorsFor(s *module.Shape) *grid.Bitmap {
-	if a, ok := b.anchors[s.Key()]; ok {
+func (sp *Space) anchorsFor(s *module.Shape) *grid.Bitmap {
+	if a, ok := sp.anchors[s.Key()]; ok {
 		return a
 	}
-	a := core.ValidAnchors(b.region, s)
-	b.anchors[s.Key()] = a
+	a := core.ValidAnchors(sp.region, s)
+	sp.anchors[s.Key()] = a
 	return a
 }
 
 // freeAt reports whether shape s can go at (x, y): anchor valid and all
 // tiles unoccupied.
-func (b *base) freeAt(s *module.Shape, x, y int) bool {
-	if !b.anchorsFor(s).Get(x, y) {
+func (sp *Space) freeAt(s *module.Shape, x, y int) bool {
+	if !sp.anchorsFor(s).Get(x, y) {
 		return false
 	}
-	return !b.occ.AnyAt(s.Points(), grid.Pt(x, y))
+	return !sp.occ.AnyAt(s.Points(), grid.Pt(x, y))
 }
 
-func (b *base) commit(id TaskID, m *module.Module, si, x, y int) {
-	r := Resident{ID: id, Module: m, Shape: si, At: grid.Pt(x, y)}
-	r.paint(b.occ, true)
-	b.resident[id] = r
-}
-
-// Release implements Manager.
-func (b *base) Release(id TaskID) {
-	rec, ok := b.resident[id]
-	if !ok {
-		return
-	}
-	delete(b.resident, id)
-	rec.paint(b.occ, false)
-}
-
-// Preplace imposes an externally computed placement on the manager: the
-// session engine uses it to re-seed a manager after a CP replan or a
-// defragmentation changed the layout behind the greedy policy's back.
-// The placement is checked exactly like TryPlace would (valid anchor,
-// no overlap); false means the manager did not adopt it.
-func (b *base) Preplace(id TaskID, m *module.Module, p Placement) bool {
-	if _, ok := b.resident[id]; ok {
-		return false
-	}
-	if p.Shape < 0 || p.Shape >= m.NumShapes() {
-		return false
-	}
-	if !b.freeAt(m.Shape(p.Shape), p.At.X, p.At.Y) {
-		return false
-	}
-	b.commit(id, m, p.Shape, p.At.X, p.At.Y)
-	return true
+// add paints r onto the occupancy and records it as resident.
+func (sp *Space) add(r Resident) {
+	r.paint(sp.occ, true)
+	sp.residents[r.ID] = r
 }
 
 // shapeRange returns the shape indices a manager may use.
@@ -90,7 +66,6 @@ func shapeRange(m *module.Module, useAlternatives bool) int {
 // classic online policy (the "free space management" pole of the
 // paper's classification).
 type FirstFit struct {
-	base
 	// UseAlternatives lets the manager pick among design alternatives.
 	UseAlternatives bool
 }
@@ -103,18 +78,13 @@ func (m *FirstFit) Name() string {
 	return "first-fit"
 }
 
-// Reset implements Manager.
-func (m *FirstFit) Reset(region *fabric.Region) { m.reset(region) }
-
 // TryPlace implements Manager.
-func (m *FirstFit) TryPlace(t Task) (Placement, bool) {
-	n := shapeRange(t.Module, m.UseAlternatives)
-	for y := 0; y < m.region.H(); y++ {
-		for x := 0; x < m.region.W(); x++ {
+func (m *FirstFit) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
+	n := shapeRange(mod, m.UseAlternatives)
+	for y := 0; y < sp.region.H(); y++ {
+		for x := 0; x < sp.region.W(); x++ {
 			for si := 0; si < n; si++ {
-				s := t.Module.Shape(si)
-				if m.freeAt(s, x, y) {
-					m.commit(t.ID, t.Module, si, x, y)
+				if sp.freeAt(mod.Shape(si), x, y) {
 					return Placement{Shape: si, At: grid.Pt(x, y)}, true
 				}
 			}
@@ -128,7 +98,6 @@ func (m *FirstFit) TryPlace(t Task) (Placement, bool) {
 // maximal empty rectangles and the module goes into the rectangle whose
 // area exceeds the module's bounding box by the least.
 type BestFitMER struct {
-	base
 	UseAlternatives bool
 }
 
@@ -140,19 +109,16 @@ func (m *BestFitMER) Name() string {
 	return "mer-best-fit"
 }
 
-// Reset implements Manager.
-func (m *BestFitMER) Reset(region *fabric.Region) { m.reset(region) }
-
 // TryPlace implements Manager.
-func (m *BestFitMER) TryPlace(t Task) (Placement, bool) {
-	mers := MaximalEmptyRects(m.region, m.occ)
-	n := shapeRange(t.Module, m.UseAlternatives)
+func (m *BestFitMER) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
+	mers := MaximalEmptyRects(sp.region, sp.occ)
+	n := shapeRange(mod, m.UseAlternatives)
 	bestWaste := 1 << 60
 	var best Placement
 	found := false
 	for _, r := range mers {
 		for si := 0; si < n; si++ {
-			s := t.Module.Shape(si)
+			s := mod.Shape(si)
 			if s.W() > r.W() || s.H() > r.H() {
 				continue
 			}
@@ -163,22 +129,18 @@ func (m *BestFitMER) TryPlace(t Task) (Placement, bool) {
 			// Heterogeneity: the rectangle is geometrically free but the
 			// shape's resource pattern may only align at some anchors
 			// inside it — scan bottom-left within the rectangle.
-			if x, y, ok := m.anchorInRect(s, r); ok {
+			if x, y, ok := anchorInRect(sp, s, r); ok {
 				bestWaste = waste
 				best = Placement{Shape: si, At: grid.Pt(x, y)}
 				found = true
 			}
 		}
 	}
-	if !found {
-		return Placement{}, false
-	}
-	m.commit(t.ID, t.Module, best.Shape, best.At.X, best.At.Y)
-	return best, true
+	return best, found
 }
 
-func (m *BestFitMER) anchorInRect(s *module.Shape, r grid.Rect) (int, int, bool) {
-	va := m.anchorsFor(s)
+func anchorInRect(sp *Space, s *module.Shape, r grid.Rect) (int, int, bool) {
+	va := sp.anchorsFor(s)
 	for y := r.MinY; y+s.H() <= r.MaxY; y++ {
 		for x := r.MinX; x+s.W() <= r.MaxX; x++ {
 			// Tiles inside a maximal empty rect are unoccupied by
@@ -197,7 +159,6 @@ func (m *BestFitMER) anchorInRect(s *module.Shape, r grid.Rect) (int, int, bool)
 // space; the bottom-left-most adjacent position wins. This both shrinks
 // the candidate set and packs modules against each other.
 type OccupiedSpace struct {
-	base
 	UseAlternatives bool
 }
 
@@ -209,18 +170,14 @@ func (m *OccupiedSpace) Name() string {
 	return "occupied-space"
 }
 
-// Reset implements Manager.
-func (m *OccupiedSpace) Reset(region *fabric.Region) { m.reset(region) }
-
 // TryPlace implements Manager.
-func (m *OccupiedSpace) TryPlace(t Task) (Placement, bool) {
-	n := shapeRange(t.Module, m.UseAlternatives)
-	for y := 0; y < m.region.H(); y++ {
-		for x := 0; x < m.region.W(); x++ {
+func (m *OccupiedSpace) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
+	n := shapeRange(mod, m.UseAlternatives)
+	for y := 0; y < sp.region.H(); y++ {
+		for x := 0; x < sp.region.W(); x++ {
 			for si := 0; si < n; si++ {
-				s := t.Module.Shape(si)
-				if m.freeAt(s, x, y) && m.touches(s, x, y) {
-					m.commit(t.ID, t.Module, si, x, y)
+				s := mod.Shape(si)
+				if sp.freeAt(s, x, y) && touches(sp, s, x, y) {
 					return Placement{Shape: si, At: grid.Pt(x, y)}, true
 				}
 			}
@@ -231,14 +188,14 @@ func (m *OccupiedSpace) TryPlace(t Task) (Placement, bool) {
 
 // touches reports whether the shape at (x, y) abuts the region border or
 // an occupied tile — the "managed" positions of occupied-space policies.
-func (m *OccupiedSpace) touches(s *module.Shape, x, y int) bool {
+func touches(sp *Space, s *module.Shape, x, y int) bool {
 	for _, p := range s.Points() {
 		ax, ay := p.X+x, p.Y+y
-		if ax == 0 || ay == 0 || ax == m.region.W()-1 || ay == m.region.H()-1 {
+		if ax == 0 || ay == 0 || ax == sp.region.W()-1 || ay == sp.region.H()-1 {
 			return true
 		}
-		if m.occ.Get(ax-1, ay) || m.occ.Get(ax+1, ay) ||
-			m.occ.Get(ax, ay-1) || m.occ.Get(ax, ay+1) {
+		if sp.occ.Get(ax-1, ay) || sp.occ.Get(ax+1, ay) ||
+			sp.occ.Get(ax, ay-1) || sp.occ.Get(ax, ay+1) {
 			return true
 		}
 	}
@@ -249,52 +206,46 @@ func (m *OccupiedSpace) touches(s *module.Shape, x, y int) bool {
 // fixed-width, full-height slots and every module exclusively reserves a
 // contiguous run of slots — the coarse model of early reconfigurable
 // systems the paper's classification contrasts with 2D placement. The
-// reserved-but-unused area is internal fragmentation.
+// reserved-but-unused area is internal fragmentation. A resident
+// reserves every slot its bounding box touches.
 type Slot1D struct {
-	base
 	// SlotWidth is the width of one slot in tiles (default 8).
 	SlotWidth       int
 	UseAlternatives bool
-
-	slotBusy []bool
-	slotOf   map[TaskID][]int
 }
 
 // Name implements Manager.
 func (m *Slot1D) Name() string { return "1d-slots" }
 
-// Reset implements Manager.
-func (m *Slot1D) Reset(region *fabric.Region) {
-	m.reset(region)
-	if m.SlotWidth <= 0 {
-		m.SlotWidth = 8
-	}
-	m.slotBusy = make([]bool, region.W()/m.SlotWidth)
-	m.slotOf = map[TaskID][]int{}
-}
-
 // TryPlace implements Manager.
-func (m *Slot1D) TryPlace(t Task) (Placement, bool) {
-	n := shapeRange(t.Module, m.UseAlternatives)
+func (m *Slot1D) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
+	width := m.SlotWidth
+	if width <= 0 {
+		width = 8
+	}
+	busy := make([]bool, sp.region.W()/width)
+	//solverlint:allow nondeterminism marking reserved slots is order-independent
+	for _, r := range sp.residents {
+		last := (r.At.X + r.Module.Shape(r.Shape).W() - 1) / width
+		for i := r.At.X / width; i <= last && i < len(busy); i++ {
+			busy[i] = true
+		}
+	}
+	n := shapeRange(mod, m.UseAlternatives)
 	for si := 0; si < n; si++ {
-		s := t.Module.Shape(si)
-		need := (s.W() + m.SlotWidth - 1) / m.SlotWidth
-		for first := 0; first+need <= len(m.slotBusy); first++ {
-			if !m.slotsFree(first, need) {
+		s := mod.Shape(si)
+		need := (s.W() + width - 1) / width
+		for first := 0; first+need <= len(busy); first++ {
+			if slices.Contains(busy[first:first+need], true) {
 				continue
 			}
 			// The module may sit anywhere inside its reserved slots; the
 			// fabric's resource pattern decides which anchors work.
-			lo := first * m.SlotWidth
-			hi := (first+need)*m.SlotWidth - s.W()
-			for y := 0; y+s.H() <= m.region.H(); y++ {
+			lo := first * width
+			hi := (first+need)*width - s.W()
+			for y := 0; y+s.H() <= sp.region.H(); y++ {
 				for x := lo; x <= hi; x++ {
-					if m.freeAt(s, x, y) {
-						m.commit(t.ID, t.Module, si, x, y)
-						for i := first; i < first+need; i++ {
-							m.slotBusy[i] = true
-						}
-						m.slotOf[t.ID] = append(m.slotOf[t.ID], rangeInts(first, need)...)
+					if sp.freeAt(s, x, y) {
 						return Placement{Shape: si, At: grid.Pt(x, y)}, true
 					}
 				}
@@ -302,58 +253,6 @@ func (m *Slot1D) TryPlace(t Task) (Placement, bool) {
 		}
 	}
 	return Placement{}, false
-}
-
-func (m *Slot1D) slotsFree(first, need int) bool {
-	for i := first; i < first+need; i++ {
-		if m.slotBusy[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Preplace implements Preplacer: the imposed placement additionally
-// reserves every slot its footprint touches, keeping the exclusive-slot
-// invariant that Release depends on.
-func (m *Slot1D) Preplace(id TaskID, mod *module.Module, p Placement) bool {
-	if p.Shape < 0 || p.Shape >= mod.NumShapes() {
-		return false
-	}
-	s := mod.Shape(p.Shape)
-	if p.At.X < 0 || m.SlotWidth <= 0 {
-		return false
-	}
-	first := p.At.X / m.SlotWidth
-	last := (p.At.X + s.W() - 1) / m.SlotWidth
-	if last >= len(m.slotBusy) || !m.slotsFree(first, last-first+1) {
-		return false
-	}
-	if !m.base.Preplace(id, mod, p) {
-		return false
-	}
-	for i := first; i <= last; i++ {
-		m.slotBusy[i] = true
-	}
-	m.slotOf[id] = append(m.slotOf[id], rangeInts(first, last-first+1)...)
-	return true
-}
-
-// Release implements Manager.
-func (m *Slot1D) Release(id TaskID) {
-	m.base.Release(id)
-	for _, i := range m.slotOf[id] {
-		m.slotBusy[i] = false
-	}
-	delete(m.slotOf, id)
-}
-
-func rangeInts(first, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = first + i
-	}
-	return out
 }
 
 // Managers returns one instance of every policy, with and without design

@@ -17,9 +17,11 @@ package online
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/grid"
 	"repro/internal/metrics"
@@ -46,23 +48,12 @@ type Placement struct {
 	At    grid.Point
 }
 
-// Manager is an online placement policy. Reset is called once per
-// simulation with the region; TryPlace must return a placement that the
-// manager itself considers valid (the simulator independently verifies
-// it); Release frees a previously placed task.
+// Manager is an online placement policy: a site chooser over the
+// engine's one occupancy. TryPlace reads sp and changes nothing; the
+// engine validates the placement it returns and commits it.
 type Manager interface {
 	Name() string
-	Reset(region *fabric.Region)
-	TryPlace(t Task) (Placement, bool)
-	Release(id TaskID)
-}
-
-// Preplacer is the optional Manager extension the session engine needs:
-// adopting a placement computed outside the manager (by the CP replanner
-// or the defragmenter) instead of choosing one. All built-in managers
-// implement it via their shared base.
-type Preplacer interface {
-	Preplace(id TaskID, m *module.Module, p Placement) bool
+	TryPlace(sp *Space, mod *module.Module) (Placement, bool)
 }
 
 // Stats aggregates one simulation run.
@@ -128,133 +119,107 @@ func (h *departureHeap) Pop() interface{} {
 // Simulate runs the task stream through the manager on region. The
 // frame model prices accepted placements' reconfiguration; pass the zero
 // FrameModel's replacement, fabric.DefaultFrameModel(), for realistic
-// numbers. The simulator keeps its own occupancy and rejects the run
-// with an error if the manager ever returns an invalid or overlapping
-// placement — manager bugs must not masquerade as good service.
-func Simulate(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel) (*Stats, error) {
-	return SimulateObserved(region, mgr, tasks, fm, nil)
+// numbers. A nil replan budget places greedily only; a non-nil one lets
+// a blocked arrival fall back to a CP replan of the whole residency
+// under that budget (State.Place). The run is a State, so every manager
+// decision and every relocation is validated before it is committed: an
+// invalid or overlapping placement fails the run with an error — manager
+// bugs must not masquerade as good service.
+func Simulate(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel, replan *core.Options) (*Stats, error) {
+	return SimulateObserved(region, mgr, tasks, fm, replan, nil)
 }
 
 // SimulateObserved is Simulate with instrumentation: when reg is
 // non-nil, each arrival's placement-decision latency is recorded into
 // per-outcome histograms (online_place_latency_seconds{outcome=...}),
-// and request/accept/reject/move totals plus the final service level and
-// mean utilization are published under online_* metric names. A nil reg
-// adds no overhead.
-func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel, reg *obs.Registry) (*Stats, error) {
-	if err := fm.Validate(); err != nil {
+// request/accept/reject/move totals plus the final service level and
+// mean utilization are published under online_* metric names, and CP
+// replans are counted (online_replans_total,
+// online_replans_success_total) and timed (online_replan_seconds). A
+// nil reg adds no overhead.
+func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabric.FrameModel, replan *core.Options, reg *obs.Registry) (*Stats, error) {
+	var budget core.Options
+	if replan != nil {
+		budget = *replan
+	}
+	s, err := newState(region, mgr, fm, budget)
+	if err != nil {
 		return nil, err
+	}
+	s.reg = reg
+	place := s.PlaceGreedy
+	if replan != nil {
+		place = s.Place
 	}
 	sorted := make([]Task, len(tasks))
 	copy(sorted, tasks)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Arrive < sorted[j].Arrive })
 
-	mgr.Reset(region)
-	occ := grid.NewBitmap(region.W(), region.H())
-	resident := map[TaskID]Resident{}
 	var deps departureHeap
-
 	stats := &Stats{}
 	placeable := region.PlaceableCount()
 	var utilIntegral float64 // occupied-tiles × time
 	var lastT int64
-	occupiedNow := 0
 	var fragSamples []float64
 
 	advance := func(t int64) {
 		if t > lastT {
-			utilIntegral += float64(occupiedNow) * float64(t-lastT)
+			utilIntegral += float64(s.sp.occ.Count()) * float64(t-lastT)
 			lastT = t
 		}
 	}
-	release := func(id TaskID) {
-		r := resident[id]
-		delete(resident, id)
-		r.paint(occ, false)
-		occupiedNow -= r.Module.Shape(r.Shape).Size()
-		mgr.Release(id)
+	departUntil := func(t int64) {
+		for len(deps) > 0 && deps[0].t <= t {
+			d := heap.Pop(&deps).(departure)
+			advance(d.t)
+			s.Release(d.id)
+		}
 	}
 
 	for _, task := range sorted {
 		// Process departures up to the arrival instant (inclusive: a
 		// task departing at t frees space for an arrival at t).
-		for len(deps) > 0 && deps[0].t <= task.Arrive {
-			d := heap.Pop(&deps).(departure)
-			advance(d.t)
-			release(d.id)
-		}
+		departUntil(task.Arrive)
 		advance(task.Arrive)
 
 		stats.Offered++
-		fragSamples = append(fragSamples, metrics.Fragmentation(region, occ))
+		fragSamples = append(fragSamples, metrics.Fragmentation(region, s.sp.occ))
 		var t0 time.Time
 		if reg != nil {
 			reg.Counter("online_requests_total").Inc()
 			//solverlint:allow nondeterminism wall-clock telemetry only: the measured latency feeds a histogram, never a placement decision
 			t0 = time.Now()
 		}
-		p, ok := mgr.TryPlace(task)
+		out, err := place(task.ID, task.Module)
+		if err != nil {
+			return nil, err
+		}
 		if reg != nil {
 			outcome := "rejected"
-			if ok {
+			if out.Placed {
 				outcome = "accepted"
 			}
 			//solverlint:allow nondeterminism wall-clock telemetry only: the measured latency feeds a histogram, never a placement decision
 			reg.Histogram(`online_place_latency_seconds{outcome="` + outcome + `"}`).Observe(time.Since(t0).Seconds())
 		}
-		// Apply any relocations the manager performed for this arrival —
-		// they precede the newcomer's configuration and are priced like
-		// any other reconfiguration.
-		if mr, isMR := mgr.(MoveReporter); isMR {
-			for _, mv := range mr.PendingMoves() {
-				r, live := resident[mv.ID]
-				if !live {
-					return nil, fmt.Errorf("online: manager %s moved unknown task %d", mgr.Name(), mv.ID)
-				}
-				r.paint(occ, false)
-				occupiedNow -= r.Module.Shape(r.Shape).Size()
-				pts, err := ValidatePlacement(region, occ, r.Module, Placement{Shape: mv.Shape, At: mv.At})
-				if err != nil {
-					return nil, fmt.Errorf("online: manager %s move of %d: %w", mgr.Name(), mv.ID, err)
-				}
-				occ.SetPoints(pts, true)
-				occupiedNow += len(pts)
-				r.Shape, r.At = mv.Shape, mv.At
-				resident[mv.ID] = r
-				stats.Moves++
-				reg.Counter("online_moves_total").Inc()
-				shape := r.Module.Shape(mv.Shape)
-				frames := fm.FrameCount(region, grid.RectXYWH(mv.At.X, mv.At.Y, shape.W(), shape.H()))
-				stats.TotalReconfig += fm.ReconfigTime(frames)
-			}
+		// A replan's relocations precede the newcomer's configuration
+		// and are priced like any other reconfiguration.
+		if len(out.Moves) > 0 {
+			stats.Moves += len(out.Moves)
+			reg.Counter("online_moves_total").Add(int64(len(out.Moves)))
 		}
-		if !ok {
+		stats.TotalReconfig += out.Reconfig
+		if !out.Placed {
 			stats.Rejected++
 			continue
 		}
-		pts, err := ValidatePlacement(region, occ, task.Module, p)
-		if err != nil {
-			return nil, fmt.Errorf("online: manager %s task %d: %w", mgr.Name(), task.ID, err)
-		}
-		occ.SetPoints(pts, true)
-		occupiedNow += len(pts)
-		resident[task.ID] = Resident{ID: task.ID, Module: task.Module, Shape: p.Shape, At: p.At}
 		stats.Accepted++
-
-		shape := task.Module.Shape(p.Shape)
-		frames := fm.FrameCount(region, grid.RectXYWH(p.At.X, p.At.Y, shape.W(), shape.H()))
-		stats.TotalReconfig += fm.ReconfigTime(frames)
-		if u := float64(occupiedNow) / float64(placeable); u > stats.PeakUtil {
+		if u := float64(s.sp.occ.Count()) / float64(placeable); u > stats.PeakUtil {
 			stats.PeakUtil = u
 		}
 		heap.Push(&deps, departure{t: task.Arrive + task.Duration, id: task.ID})
 	}
-	// Drain.
-	for len(deps) > 0 {
-		d := heap.Pop(&deps).(departure)
-		advance(d.t)
-		release(d.id)
-	}
+	departUntil(math.MaxInt64)
 
 	stats.Horizon = lastT
 	if stats.Offered > 0 {
@@ -275,9 +240,8 @@ func SimulateObserved(region *fabric.Region, mgr Manager, tasks []Task, fm fabri
 
 // ValidatePlacement checks M_a, M_b and M_c for one online placement
 // and returns the absolute tiles on success. It is the shared validity
-// oracle: the simulator uses it to audit managers, the session engine
-// to audit itself, and loadgen's shadow revalidation to audit the
-// service from the outside.
+// oracle: the engine uses it to audit managers and relocations, and
+// loadgen's shadow revalidation to audit the service from the outside.
 func ValidatePlacement(region *fabric.Region, occ *grid.Bitmap, m *module.Module, p Placement) ([]grid.Point, error) {
 	if p.Shape < 0 || p.Shape >= m.NumShapes() {
 		return nil, fmt.Errorf("shape index %d out of range", p.Shape)

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestSimulateFirstFitBasic(t *testing.T) {
 		{ID: 2, Module: clbModule("c", 8, 8), Arrive: 2, Duration: 10}, // cannot fit alongside
 		{ID: 3, Module: clbModule("d", 8, 8), Arrive: 50, Duration: 5}, // fits after departures
 	}
-	st, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel())
+	st, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSimulateDepartureFreesSpace(t *testing.T) {
 		{ID: 0, Module: clbModule("a", 4, 4), Arrive: 0, Duration: 10},
 		{ID: 1, Module: clbModule("b", 4, 4), Arrive: 10, Duration: 10}, // departs exactly at arrival
 	}
-	st, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel())
+	st, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,60 +58,31 @@ func TestSimulateDepartureFreesSpace(t *testing.T) {
 	}
 }
 
-// releaseRecorder wraps a manager and records the order Release is
-// called in.
-type releaseRecorder struct {
-	FirstFit
-	released []TaskID
-}
-
-func (m *releaseRecorder) Release(id TaskID) {
-	m.released = append(m.released, id)
-	m.FirstFit.Release(id)
-}
-
 // TestSameTickDeparturesReleaseInIDOrder pins the departure heap's
-// tie-break: tasks departing on the same tick must release in ascending
-// id order, not in whatever heap-internal order their insertion
-// sequence produced. The ids arrive in descending order so a time-only
-// comparison (the old departureHeap.Less) pops them in a different,
-// insertion-dependent order.
+// tie-break: tasks departing on the same tick must pop in ascending id
+// order, not in whatever heap-internal order their insertion sequence
+// produced. The ids are pushed in descending order so a time-only
+// comparison pops them in a different, insertion-dependent order.
 func TestSameTickDeparturesReleaseInIDOrder(t *testing.T) {
-	region := fabric.Homogeneous(16, 16).FullRegion()
-	const deadline = 100
-	var tasks []Task
-	for i := 0; i < 8; i++ {
-		// Descending ids 8..1, arriving in that order, all departing at
-		// the deadline tick.
-		id := TaskID(8 - i)
-		tasks = append(tasks, Task{
-			ID:       id,
-			Module:   clbModule("m", 2, 2),
-			Arrive:   int64(i),
-			Duration: deadline - int64(i),
-		})
+	var deps departureHeap
+	for id := TaskID(8); id >= 1; id-- {
+		heap.Push(&deps, departure{t: 100, id: id})
 	}
-	mgr := &releaseRecorder{}
-	if _, err := Simulate(region, mgr, tasks, fabric.DefaultFrameModel()); err != nil {
-		t.Fatal(err)
-	}
-	if len(mgr.released) != len(tasks) {
-		t.Fatalf("released %d of %d tasks: %v", len(mgr.released), len(tasks), mgr.released)
-	}
-	for i := 1; i < len(mgr.released); i++ {
-		if mgr.released[i-1] >= mgr.released[i] {
-			t.Fatalf("same-tick departures released out of id order: %v", mgr.released)
+	heap.Push(&deps, departure{t: 99, id: 9})
+	want := []TaskID{9, 1, 2, 3, 4, 5, 6, 7, 8}
+	for i, w := range want {
+		if d := heap.Pop(&deps).(departure); d.id != w {
+			t.Fatalf("pop %d: task %d at t=%d, want task %d", i, d.id, d.t, w)
 		}
 	}
 }
 
 // badManager returns overlapping placements to exercise the simulator's
 // validation.
-type badManager struct{ base }
+type badManager struct{}
 
-func (m *badManager) Name() string                { return "bad" }
-func (m *badManager) Reset(region *fabric.Region) { m.reset(region) }
-func (m *badManager) TryPlace(Task) (Placement, bool) {
+func (badManager) Name() string { return "bad" }
+func (badManager) TryPlace(*Space, *module.Module) (Placement, bool) {
 	return Placement{Shape: 0, At: grid.Pt(0, 0)}, true
 }
 
@@ -120,7 +92,7 @@ func TestSimulateRejectsInvalidManager(t *testing.T) {
 		{ID: 0, Module: clbModule("a", 2, 2), Arrive: 0, Duration: 100},
 		{ID: 1, Module: clbModule("b", 2, 2), Arrive: 1, Duration: 100},
 	}
-	if _, err := Simulate(region, &badManager{}, tasks, fabric.DefaultFrameModel()); err == nil {
+	if _, err := Simulate(region, badManager{}, tasks, fabric.DefaultFrameModel(), nil); err == nil {
 		t.Fatal("overlapping placement accepted")
 	}
 }
@@ -133,7 +105,7 @@ func TestAllManagersRunCleanOnStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mgr := range Managers() {
-		st, err := Simulate(region, mgr, tasks, fabric.DefaultFrameModel())
+		st, err := Simulate(region, mgr, tasks, fabric.DefaultFrameModel(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", mgr.Name(), err)
 		}
@@ -161,11 +133,11 @@ func TestAlternativesImproveServiceLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel())
+	without, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := Simulate(region, &FirstFit{UseAlternatives: true}, tasks, fabric.DefaultFrameModel())
+	with, err := Simulate(region, &FirstFit{UseAlternatives: true}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +156,7 @@ func TestSlot1DInternalFragmentation(t *testing.T) {
 			ID: TaskID(i), Module: clbModule("m", 2, 2), Arrive: int64(i), Duration: 1000,
 		})
 	}
-	st, err := Simulate(region, &Slot1D{SlotWidth: 8}, tasks, fabric.DefaultFrameModel())
+	st, err := Simulate(region, &Slot1D{SlotWidth: 8}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +164,7 @@ func TestSlot1DInternalFragmentation(t *testing.T) {
 		t.Fatalf("slot acceptance = %d, want 4", st.Accepted)
 	}
 	// 2D first-fit accepts all 8.
-	st2, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel())
+	st2, err := Simulate(region, &FirstFit{}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +180,7 @@ func TestSlot1DReleaseReusesSlots(t *testing.T) {
 		{ID: 1, Module: clbModule("b", 8, 4), Arrive: 1, Duration: 5},
 		{ID: 2, Module: clbModule("c", 8, 4), Arrive: 20, Duration: 5},
 	}
-	st, err := Simulate(region, &Slot1D{SlotWidth: 8}, tasks, fabric.DefaultFrameModel())
+	st, err := Simulate(region, &Slot1D{SlotWidth: 8}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

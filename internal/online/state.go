@@ -9,6 +9,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/module"
+	"repro/internal/obs"
 )
 
 // StateConfig configures a session State.
@@ -36,24 +37,25 @@ func SessionManagers() []string {
 	return []string{"first-fit", "mer-best-fit", "occupied-space", "adjacency"}
 }
 
-// State is a long-lived online placement session: the stateful
-// counterpart of Simulate. Modules arrive (Place), depart (Release) and
-// get compacted (Defrag) over the session's lifetime, against a shadow
-// occupancy the engine keeps authoritative — every manager decision is
-// audited through ValidatePlacement before it is committed, so a buggy
+// State is the online engine and the one owner of occupancy: a
+// long-lived placement session in which modules arrive (Place), depart
+// (Release) and get compacted (Defrag), and the event loop Simulate
+// drives over a task stream. Its Space holds the only occupancy bitmap
+// and resident table; the manager only reads it to choose a site. Every
+// manager decision is audited through ValidatePlacement and every
+// relocation through ApplyMoves before it is committed, so a buggy
 // policy surfaces as an error, never as silent overlap.
 //
 // State is not safe for concurrent use; callers (the placement
 // service's session store) serialise access per session.
 type State struct {
-	region    *fabric.Region
-	mgr       Manager
-	pre       Preplacer
-	fm        fabric.FrameModel
-	occ       *grid.Bitmap
-	residents map[TaskID]Resident
-
+	sp     Space
+	mgr    Manager
+	fm     fabric.FrameModel
 	replan core.Options
+	// reg, when non-nil, counts and times CP replans (Simulate's
+	// instrumentation).
+	reg *obs.Registry
 
 	placed   int
 	rejected int
@@ -83,19 +85,14 @@ func NewState(region *fabric.Region, cfg StateConfig) (*State, error) {
 	if fm.FramesPerColumn == nil {
 		fm = fabric.DefaultFrameModel()
 	}
+	return newState(region, mgr, fm, cfg.Replan)
+}
+
+func newState(region *fabric.Region, mgr Manager, fm fabric.FrameModel, replan core.Options) (*State, error) {
 	if err := fm.Validate(); err != nil {
 		return nil, err
 	}
-	mgr.Reset(region)
-	return &State{
-		region:    region,
-		mgr:       mgr,
-		pre:       mgr.(Preplacer),
-		fm:        fm,
-		occ:       grid.NewBitmap(region.W(), region.H()),
-		residents: map[TaskID]Resident{},
-		replan:    cfg.Replan,
-	}, nil
+	return &State{sp: newSpace(region), mgr: mgr, fm: fm, replan: replan}, nil
 }
 
 // ManagerName returns the session's greedy policy name.
@@ -121,9 +118,8 @@ type PlaceOutcome struct {
 // Place admits one module under id. Greedy placement is tried first;
 // when the manager finds no site, the CP placer replans the whole
 // residency (design alternatives included) and the arrival is admitted
-// into the relocated layout — the session-scoped equivalent of
-// ReplanFirstFit. An error means bad input or an internal invariant
-// violation; a full region is (Placed=false, nil).
+// into the relocated layout. An error means bad input or an internal
+// invariant violation; a full region is (Placed=false, nil).
 func (s *State) Place(id TaskID, mod *module.Module) (PlaceOutcome, error) {
 	out, done, err := s.placeGreedy(id, mod)
 	if err != nil || done {
@@ -148,20 +144,17 @@ func (s *State) placeGreedy(id TaskID, mod *module.Module) (PlaceOutcome, bool, 
 	if mod == nil {
 		return PlaceOutcome{}, false, fmt.Errorf("online: task %d has no module", id)
 	}
-	if _, ok := s.residents[id]; ok {
+	if _, ok := s.sp.residents[id]; ok {
 		return PlaceOutcome{}, false, fmt.Errorf("online: task %d already resident", id)
 	}
-	p, ok := s.mgr.TryPlace(Task{ID: id, Module: mod})
+	p, ok := s.mgr.TryPlace(&s.sp, mod)
 	if !ok {
 		return PlaceOutcome{}, false, nil
 	}
-	pts, err := ValidatePlacement(s.region, s.occ, mod, p)
-	if err != nil {
-		s.mgr.Release(id)
+	if _, err := ValidatePlacement(s.sp.region, s.sp.occ, mod, p); err != nil {
 		return PlaceOutcome{}, false, fmt.Errorf("online: manager %s task %d: %w", s.mgr.Name(), id, err)
 	}
-	s.occ.SetPoints(pts, true)
-	s.residents[id] = Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At}
+	s.sp.add(Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At})
 	s.placed++
 	cost := s.cost(mod.Shape(p.Shape), p.At)
 	s.reconfig += cost
@@ -170,52 +163,46 @@ func (s *State) placeGreedy(id TaskID, mod *module.Module) (PlaceOutcome, bool, 
 
 // replanPlace is the fallback: a joint CP layout of residents plus the
 // newcomer, with the relocations ordered so every intermediate state is
-// valid, then the manager re-seeded onto the new layout.
+// valid and committed through ApplyMoves before the newcomer lands.
 func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error) {
 	s.replans++
-	occ, moves, newcomer, ok := replanLayout(s.region, s.occ, s.Residents(), mod, s.replan)
+	s.reg.Counter("online_replans_total").Inc()
+	defer s.reg.Timer("online_replan").Stop()
+	moves, newcomer, ok := replanLayout(s.sp.region, s.sp.occ, s.Residents(), mod, s.replan)
 	if !ok {
 		// No layout, or a feasible layout with no safe move order: treat
 		// as a rejection rather than risk an invalid intermediate state.
 		s.rejected++
 		return PlaceOutcome{}, nil
 	}
-
-	p := Placement{Shape: newcomer.ShapeIndex, At: newcomer.At}
-	pts, err := ValidatePlacement(s.region, occ, mod, p)
-	if err != nil {
+	out := PlaceOutcome{Placed: true, Placement: Placement{Shape: newcomer.ShapeIndex, At: newcomer.At}, Replanned: true}
+	var err error
+	if out.Moves, err = s.commitMoves(moves); err != nil {
+		return PlaceOutcome{}, fmt.Errorf("online: replan plan failed validation: %w", err)
+	}
+	if _, err := ValidatePlacement(s.sp.region, s.sp.occ, mod, out.Placement); err != nil {
 		return PlaceOutcome{}, fmt.Errorf("online: replan produced invalid newcomer placement: %w", err)
 	}
-	occ.SetPoints(pts, true)
-
-	out := PlaceOutcome{Placed: true, Placement: p, Replanned: true, Moves: s.priceMoves(moves)}
+	s.sp.add(Resident{ID: id, Module: mod, Shape: out.Placement.Shape, At: out.Placement.At})
 	for _, mv := range out.Moves {
 		out.Reconfig += mv.Reconfig
 	}
-	out.Reconfig += s.cost(mod.Shape(p.Shape), p.At)
-
-	s.occ = occ
-	moveResidents(s.residents, moves)
-	s.residents[id] = Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At}
-	if err := s.reseedManager(); err != nil {
-		return PlaceOutcome{}, err
-	}
+	out.Reconfig += s.cost(mod.Shape(out.Placement.Shape), out.Placement.At)
 	s.placed++
-	s.moves += len(moves)
 	s.reconfig += out.Reconfig
+	s.reg.Counter("online_replans_success_total").Inc()
 	return out, nil
 }
 
 // Release frees a resident module; releasing an unknown id is a no-op
 // (the operation is idempotent so clients may retry it blindly).
 func (s *State) Release(id TaskID) bool {
-	r, ok := s.residents[id]
+	r, ok := s.sp.residents[id]
 	if !ok {
 		return false
 	}
-	delete(s.residents, id)
-	r.paint(s.occ, false)
-	s.mgr.Release(id)
+	delete(s.sp.residents, id)
+	r.paint(s.sp.occ, false)
 	return true
 }
 
@@ -240,52 +227,65 @@ type DefragOutcome struct {
 	// around the pass.
 	FragBefore float64
 	FragAfter  float64
+	// Blocked counts the modules left unordered when the compacted
+	// layout has no safe move order (a relocation cycle); the pass then
+	// moves nothing and the session is unchanged.
+	Blocked int
 }
 
 // Defrag compacts the residency: the CP placer derives a tighter target
-// layout, PlanCompaction orders the relocations, and the session adopts
-// the result. With no residents (or no improvement) the outcome is
-// empty and nil error. The replan budget's Timeout/StallNodes bound the
-// solve; FirstSolutionOnly is NOT forced here because compaction exists
-// to improve the layout, not merely to find one.
+// layout, PlanCompaction's ordering pass sequences the relocations, and
+// the session adopts the result. With no residents, no improvement, or
+// a relocation cycle (Blocked > 0) the outcome has no moves and a nil
+// error. The replan budget's Timeout/StallNodes bound the solve;
+// FirstSolutionOnly is NOT forced here because compaction exists to
+// improve the layout, not merely to find one.
 func (s *State) Defrag() (DefragOutcome, error) {
-	out := DefragOutcome{
-		FragBefore: metrics.Fragmentation(s.region, s.occ),
-		FragAfter:  metrics.Fragmentation(s.region, s.occ),
-	}
-	if len(s.residents) == 0 {
+	frag := metrics.Fragmentation(s.sp.region, s.sp.occ)
+	out := DefragOutcome{FragBefore: frag, FragAfter: frag}
+	if len(s.sp.residents) == 0 {
 		return out, nil
 	}
 	s.defrags++
-	res := s.Residents()
-	moves, _, err := PlanCompaction(s.region, res, s.replan)
+	moves, _, blocked, err := planCompaction(s.sp.region, s.Residents(), s.replan)
 	if err != nil {
 		return DefragOutcome{}, err
 	}
+	out.Blocked = blocked
 	if len(moves) == 0 {
 		return out, nil
 	}
-	after, err := ApplyMoves(s.region, res, moves)
-	if err != nil {
+	if out.Moves, err = s.commitMoves(moves); err != nil {
 		return DefragOutcome{}, fmt.Errorf("online: defrag plan failed validation: %w", err)
 	}
-	occ := grid.NewBitmap(s.region.W(), s.region.H())
-	for _, r := range after {
-		r.paint(occ, true)
-		s.residents[r.ID] = r
-	}
-	s.occ = occ
-	if err := s.reseedManager(); err != nil {
-		return DefragOutcome{}, err
-	}
-	out.Moves = s.priceMoves(moves)
 	for _, mv := range out.Moves {
 		out.Reconfig += mv.Reconfig
 	}
-	out.FragAfter = metrics.Fragmentation(s.region, s.occ)
-	s.moves += len(moves)
+	out.FragAfter = metrics.Fragmentation(s.sp.region, s.sp.occ)
 	s.reconfig += out.Reconfig
 	return out, nil
+}
+
+// commitMoves replays a relocation schedule through ApplyMoves, which
+// validates every step against the current residency, and only then
+// adopts the result into the Space. It returns the schedule priced by
+// the frame model.
+func (s *State) commitMoves(moves []Move) ([]MoveCost, error) {
+	after, err := ApplyMoves(s.sp.region, s.Residents(), moves)
+	if err != nil {
+		return nil, err
+	}
+	s.sp.occ.Clear()
+	for _, r := range after {
+		s.sp.add(r)
+	}
+	s.moves += len(moves)
+	priced := make([]MoveCost, 0, len(moves))
+	for _, mv := range moves {
+		frames := s.frames(s.sp.residents[mv.ID].Module.Shape(mv.Shape), mv.At)
+		priced = append(priced, MoveCost{Move: mv, Frames: frames, Reconfig: s.fm.ReconfigTime(frames)})
+	}
+	return priced, nil
 }
 
 // StateStats is a point-in-time summary of the session.
@@ -307,16 +307,11 @@ type StateStats struct {
 
 // Stats summarises the session.
 func (s *State) Stats() StateStats {
-	occupied := 0
-	//solverlint:allow nondeterminism order-independent sum over the residency
-	for _, r := range s.residents {
-		occupied += r.Module.Shape(r.Shape).Size()
-	}
 	return StateStats{
-		Residents:     len(s.residents),
-		OccupiedTiles: occupied,
-		Utilization:   metrics.OverallUtilization(s.region, s.occ),
-		Fragmentation: metrics.Fragmentation(s.region, s.occ),
+		Residents:     len(s.sp.residents),
+		OccupiedTiles: s.sp.occ.Count(),
+		Utilization:   metrics.OverallUtilization(s.sp.region, s.sp.occ),
+		Fragmentation: metrics.Fragmentation(s.sp.region, s.sp.occ),
 		Placed:        s.placed,
 		Rejected:      s.rejected,
 		Replans:       s.replans,
@@ -327,45 +322,20 @@ func (s *State) Stats() StateStats {
 }
 
 // Residents returns the current residency in ascending id order.
-func (s *State) Residents() []Resident { return sortedResidents(s.residents) }
+func (s *State) Residents() []Resident { return sortedResidents(s.sp.residents) }
 
 // Resident looks up one resident by id.
 func (s *State) Resident(id TaskID) (Resident, bool) {
-	r, ok := s.residents[id]
+	r, ok := s.sp.residents[id]
 	return r, ok
 }
 
-// reseedManager rebuilds the greedy manager's internal state from the
-// shadow residency after a replan or defrag rewrote the layout. Every
-// placement was just validated against the shadow occupancy, so a
-// refusal here is an invariant violation, not a capacity problem.
-func (s *State) reseedManager() error {
-	s.mgr.Reset(s.region)
-	for _, r := range s.Residents() {
-		if !s.pre.Preplace(r.ID, r.Module, Placement{Shape: r.Shape, At: r.At}) {
-			return fmt.Errorf("online: manager %s rejected re-seeded resident %d at %v", s.mgr.Name(), r.ID, r.At)
-		}
-	}
-	return nil
+// frames counts the configuration frames of shape at anchor.
+func (s *State) frames(shape *module.Shape, at grid.Point) int {
+	return s.fm.FrameCount(s.sp.region, grid.RectXYWH(at.X, at.Y, shape.W(), shape.H()))
 }
 
 // cost prices one configuration of shape at anchor.
 func (s *State) cost(shape *module.Shape, at grid.Point) time.Duration {
-	frames := s.fm.FrameCount(s.region, grid.RectXYWH(at.X, at.Y, shape.W(), shape.H()))
-	return s.fm.ReconfigTime(frames)
-}
-
-// priceMoves attaches frame counts and port time to a move schedule.
-func (s *State) priceMoves(moves []Move) []MoveCost {
-	out := make([]MoveCost, 0, len(moves))
-	for _, mv := range moves {
-		r, ok := s.residents[mv.ID]
-		if !ok {
-			continue
-		}
-		shape := r.Module.Shape(mv.Shape)
-		frames := s.fm.FrameCount(s.region, grid.RectXYWH(mv.At.X, mv.At.Y, shape.W(), shape.H()))
-		out = append(out, MoveCost{Move: mv, Frames: frames, Reconfig: s.fm.ReconfigTime(frames)})
-	}
-	return out
+	return s.fm.ReconfigTime(s.frames(shape, at))
 }

@@ -2,7 +2,6 @@ package online
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -95,10 +94,14 @@ func TestStatePlaceReleaseLifecycle(t *testing.T) {
 				case r < 0.85:
 					st.Release(res[rng.Intn(len(res))].ID)
 				default:
-					// A relocation cycle is a refusal that leaves the
-					// session unchanged; the invariants below still hold.
-					if _, err := st.Defrag(); err != nil && !strings.Contains(err.Error(), "relocation cycle") {
+					// A relocation cycle is a Blocked outcome with no
+					// moves, never an error.
+					out, err := st.Defrag()
+					if err != nil {
 						t.Fatalf("step %d defrag: %v", step, err)
+					}
+					if out.Blocked > 0 && len(out.Moves) > 0 {
+						t.Fatalf("step %d: blocked defrag moved residents: %+v", step, out)
 					}
 				}
 				repaint := grid.NewBitmap(hetero.W(), hetero.H())
@@ -109,7 +112,7 @@ func TestStatePlaceReleaseLifecycle(t *testing.T) {
 					}
 					repaint.SetPoints(pts, true)
 				}
-				if got, want := st.occ.String(), repaint.String(); got != want {
+				if got, want := st.sp.occ.String(), repaint.String(); got != want {
 					t.Fatalf("step %d: occupancy\n%s\nrepaint of residents\n%s", step, got, want)
 				}
 				if got := st.Stats().OccupiedTiles; got != repaint.Count() {
@@ -263,26 +266,33 @@ func TestStateDefragEmptyAndTight(t *testing.T) {
 	}
 }
 
-func TestSlot1DPreplaceKeepsSlotBookkeeping(t *testing.T) {
+// TestSlot1DReservesSlotsOfEngineResidents places residents through
+// the engine, not through Slot1D: one fills slot 0, one straddles slots
+// 1 and 2 but leaves the top of slot 2 geometrically free. The manager
+// must keep out of all three slots, and see slots 1 and 2 free again
+// once the engine releases the straddling resident.
+func TestSlot1DReservesSlotsOfEngineResidents(t *testing.T) {
 	region := fabric.Homogeneous(16, 8).FullRegion()
 	m := &Slot1D{SlotWidth: 4}
-	m.Reset(region)
-	mod := clbModule("a", 6, 4)
-	// Straddles slots 1 and 2 (x in [5, 11)).
-	if !m.Preplace(1, mod, Placement{Shape: 0, At: grid.Pt(5, 0)}) {
-		t.Fatal("preplace refused a valid placement")
+	st, err := newState(region, m, fabric.DefaultFrameModel(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Slots 1 and 2 are reserved: a 4-wide module must avoid them.
-	p, ok := m.TryPlace(Task{ID: 2, Module: clbModule("b", 4, 8)})
+	st.sp.add(Resident{ID: 1, Module: clbModule("a", 4, 8), At: grid.Pt(0, 0)})
+	// x in [5, 11), y in [0, 4): slots 1 and 2.
+	st.sp.add(Resident{ID: 2, Module: clbModule("b", 6, 4), At: grid.Pt(5, 0)})
+	p, ok := m.TryPlace(&st.sp, clbModule("c", 4, 4))
 	if !ok {
-		t.Fatal("free slots not usable after preplace")
+		t.Fatal("free slot 3 not usable")
 	}
-	if p.At.X >= 4 && p.At.X < 12 {
-		t.Fatalf("placement %v landed in reserved slots", p)
+	if p.At.X < 12 {
+		t.Fatalf("placement %v landed in a reserved slot", p)
 	}
-	m.Release(1)
-	// All slots free again.
-	if _, ok := m.TryPlace(Task{ID: 3, Module: clbModule("c", 8, 8)}); !ok {
-		t.Fatal("slots not released")
+	if _, ok := m.TryPlace(&st.sp, clbModule("d", 8, 4)); ok {
+		t.Fatal("two-slot module placed with no two adjacent free slots")
+	}
+	st.Release(2)
+	if p, ok := m.TryPlace(&st.sp, clbModule("d", 8, 4)); !ok || p.At.X != 4 {
+		t.Fatalf("slots 1 and 2 not freed by the release: %v, %v", p, ok)
 	}
 }

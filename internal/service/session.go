@@ -234,6 +234,10 @@ type SessionDefragResponse struct {
 	ReconfigMs float64    `json:"reconfigMs"`
 	FragBefore float64    `json:"fragBefore"`
 	FragAfter  float64    `json:"fragAfter"`
+	// Blocked counts the modules a relocation cycle left unordered: the
+	// compacted layout has no safe move order, so nothing moved and the
+	// session is unchanged.
+	Blocked int `json:"blocked"`
 }
 
 // SessionResident is one resident module in a stats response.
@@ -577,6 +581,7 @@ func (s *Server) handleSessionDefrag(w http.ResponseWriter, r *http.Request, tr 
 		ReconfigMs: float64(result.Reconfig.Microseconds()) / 1e3,
 		FragBefore: result.FragBefore,
 		FragAfter:  result.FragAfter,
+		Blocked:    result.Blocked,
 	})
 }
 

@@ -175,6 +175,61 @@ func TestSessionLifecycleAndDefrag(t *testing.T) {
 	}
 }
 
+// TestSessionDefragBlockedByCycle builds a layout whose only tighter
+// target swaps the two residents' sites: task 1 at (2,0) and task 2 at
+// (0,1) in a 4x4 window, compacted to height 2 with task 1 at (0,0)
+// and task 2 at (2,0). Each target overlaps the other's current site,
+// so no move can go first. The defrag is an outcome, not a fault: 200
+// with blocked > 0, no moves, and the session unchanged.
+func TestSessionDefragBlockedByCycle(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	id := createSession(t, h, `{"fabric":"spartan-like-24x16","region":{"x":0,"y":0,"w":4,"h":4},"replan":{"stallNodes":200}}`)
+	// A 2x1 filler at (0,0) pushes first-fit's task 1 to (2,0) and
+	// task 2 to (0,1); releasing the filler leaves the cycle.
+	for _, sp := range []struct {
+		task int64
+		w, h int
+	}{{10, 2, 1}, {1, 2, 2}, {2, 2, 2}} {
+		if resp, rr := sessionPlace(t, h, id, sp.task, clbModuleJSON("m", sp.w, sp.h)); rr.Code != http.StatusOK || !resp.Placed {
+			t.Fatalf("seed %d: status %d %+v", sp.task, rr.Code, resp)
+		}
+	}
+	if rr := do(t, h, "DELETE", "/v1/sessions/"+id+"/modules/10", ""); rr.Code != http.StatusOK {
+		t.Fatalf("release filler: status %d", rr.Code)
+	}
+	stats := func() SessionStatsResponse {
+		t.Helper()
+		var st SessionStatsResponse
+		rr := do(t, h, "GET", "/v1/sessions/"+id+"/stats", "")
+		if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	before := stats()
+	if r := before.Residency; len(r) != 2 || r[0].X != 2 || r[0].Y != 0 || r[1].X != 0 || r[1].Y != 1 {
+		t.Fatalf("premise: residency %+v", r)
+	}
+
+	rr := do(t, h, "POST", "/v1/sessions/"+id+"/defrag", "")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("blocked defrag: status %d body %s", rr.Code, rr.Body)
+	}
+	var df SessionDefragResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &df); err != nil {
+		t.Fatal(err)
+	}
+	if df.Blocked == 0 || len(df.Moves) != 0 || df.ReconfigMs != 0 || df.FragAfter != df.FragBefore {
+		t.Fatalf("defrag not reported as blocked: %s", rr.Body)
+	}
+	after := stats()
+	after.Defrags--
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("blocked defrag changed the session:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
 // TestSessionReplanOverHTTP drives the blocked-arrival path end to end:
 // greedy placement cannot site the wide module, so the response must
 // carry replanned=true plus a priced relocation schedule.
