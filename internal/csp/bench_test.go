@@ -13,7 +13,7 @@ func BenchmarkQueensFirstSolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := NewStore()
 		q := postQueens(st, 12)
-		res, err := Solve(st, q, Options{MaxSolutions: 1}, func(*Store) bool { return true })
+		res, err := Solve(st, q, Options{}, func(*Store) bool { return false })
 		if err != nil || res.Solutions != 1 {
 			b.Fatalf("res=%+v err=%v", res, err)
 		}
@@ -75,8 +75,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st, vars, obj := randomInstance(7, 12)
-				res, err := Minimize(st, vars, obj,
-					Options{Workers: workers, SplitDepth: 2}, nil)
+				res, err := Minimize(st, vars, obj, Options{Workers: workers}, nil)
 				if err != nil || !res.Found || !res.Optimal {
 					b.Fatalf("res=%+v err=%v", res, err)
 				}

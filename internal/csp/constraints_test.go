@@ -1,15 +1,12 @@
 package csp
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestNotEqual(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 3)
 	y := st.NewVarRange("y", 0, 3)
-	NotEqual(st, x, y)
+	notEqual(st, x, y, 0)
 	if err := st.Assign(x, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +22,7 @@ func TestNotEqualOffset(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 5)
 	y := st.NewVarRange("y", 0, 5)
-	NotEqualOffset(st, x, y, 2) // x != y + 2
+	notEqual(st, x, y, 2) // x != y + 2
 	if err := st.Assign(y, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +36,9 @@ func TestNotEqualOffset(t *testing.T) {
 
 func TestLessEq(t *testing.T) {
 	st := NewStore()
-	x := st.NewVarRange("x", 0, 9)
-	y := st.NewVarRange("y", 0, 9)
-	LessEqOffset(st, x, y, 3) // x + 3 <= y
+	x := st.NewVarRange("x", 3, 9)
+	y := st.NewVarRange("y", 0, 6)
+	LessEq(st, x, y)
 	if err := st.Propagate(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +47,9 @@ func TestLessEq(t *testing.T) {
 	}
 }
 
-func TestEqualOffset(t *testing.T) {
-	st := NewStore()
-	x := st.NewVar("x", NewDomainValues(1, 4, 7))
-	y := st.NewVar("y", NewDomainValues(0, 3, 9))
-	EqualOffset(st, x, y, 1) // x = y + 1
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	// Supported pairs: x=1/y=0, x=4/y=3.
-	if x.Size() != 2 || y.Size() != 2 || x.Domain().Contains(7) || y.Domain().Contains(9) {
-		t.Fatalf("x=%v y=%v", x, y)
-	}
-}
-
+// TestAllDifferentPigeonhole checks an infeasibility that only search
+// proves: three pairwise-distinct variables over two values propagate
+// clean at the root, and exhausting the tree finds no solution.
 func TestAllDifferentPigeonhole(t *testing.T) {
 	st := NewStore()
 	vars := []*Var{
@@ -71,7 +57,7 @@ func TestAllDifferentPigeonhole(t *testing.T) {
 		st.NewVarRange("b", 0, 1),
 		st.NewVarRange("c", 0, 1),
 	}
-	AllDifferent(st, vars...)
+	allDifferent(st, vars...)
 	res, err := Solve(st, vars, Options{}, func(*Store) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +67,8 @@ func TestAllDifferentPigeonhole(t *testing.T) {
 	}
 }
 
+// TestAllDifferentEnumeration checks exhaustive enumeration delivers
+// every permutation exactly once.
 func TestAllDifferentEnumeration(t *testing.T) {
 	st := NewStore()
 	vars := []*Var{
@@ -88,47 +76,13 @@ func TestAllDifferentEnumeration(t *testing.T) {
 		st.NewVarRange("b", 0, 2),
 		st.NewVarRange("c", 0, 2),
 	}
-	AllDifferent(st, vars...)
+	allDifferent(st, vars...)
 	res, err := Solve(st, vars, Options{}, func(*Store) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Solutions != 6 {
 		t.Fatalf("permutations = %d, want 6", res.Solutions)
-	}
-}
-
-func TestSumBounds(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 10)
-	y := st.NewVarRange("y", 0, 10)
-	total := st.NewVarRange("t", 15, 15)
-	Sum(st, total, x, y)
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Min() != 5 || y.Min() != 5 {
-		t.Fatalf("x.min=%d y.min=%d, want 5/5", x.Min(), y.Min())
-	}
-	if err := st.Assign(x, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if !y.Assigned() || y.Value() != 8 {
-		t.Fatalf("y = %v, want 8", y)
-	}
-}
-
-func TestSumInfeasible(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 2)
-	y := st.NewVarRange("y", 0, 2)
-	total := st.NewVarRange("t", 10, 10)
-	Sum(st, total, x, y)
-	if err := st.Propagate(); !errors.Is(err, ErrInconsistent) {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -176,78 +130,6 @@ func TestMaxOfPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	MaxOf(st, m)
-}
-
-func TestElement(t *testing.T) {
-	st := NewStore()
-	idx := st.NewVarRange("i", -2, 10)
-	res := st.NewVarRange("r", 0, 100)
-	table := []int{5, 9, 5, 12}
-	Element(st, idx, table, res)
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Min() != 0 || idx.Max() != 3 {
-		t.Fatalf("index not clamped: %v", idx)
-	}
-	if res.Domain().Contains(7) || !res.Domain().Contains(12) {
-		t.Fatalf("result not filtered: %v", res)
-	}
-	if err := st.Remove(res, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Domain().Contains(0) || idx.Domain().Contains(2) {
-		t.Fatalf("index values without support survived: %v", idx)
-	}
-}
-
-func TestElementPanicsOnEmptyTable(t *testing.T) {
-	st := NewStore()
-	idx := st.NewVarRange("i", 0, 1)
-	res := st.NewVarRange("r", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Element(st, idx, nil, res)
-}
-
-func TestBinaryTable(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 3)
-	y := st.NewVarRange("y", 0, 3)
-	BinaryTable(st, x, y, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 0}})
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Domain().Contains(3) {
-		t.Fatal("x=3 has no support")
-	}
-	if err := st.Assign(x, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Propagate(); err != nil {
-		t.Fatal(err)
-	}
-	if y.Domain().Contains(0) || y.Domain().Contains(1) || y.Size() != 2 {
-		t.Fatalf("y = %v, want {2,3}", y)
-	}
-}
-
-func TestBinaryTablePanicsOnEmpty(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 0, 1)
-	y := st.NewVarRange("y", 0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	BinaryTable(st, x, y, nil)
 }
 
 func TestFuncProp(t *testing.T) {

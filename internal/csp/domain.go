@@ -5,9 +5,12 @@
 //
 // It is the solving substrate under the geost geometric kernel and the
 // module placer, playing the role the SICStus/choco-hosted solver of
-// Beldiceanu et al. plays in the paper. The kernel is deliberately
-// general — classic finite-domain constraints, pluggable search — so it
-// is usable (and tested) independently of placement.
+// Beldiceanu et al. plays in the paper. The kernel is sized to that
+// placement model: geost brings its own propagators, and csp supplies
+// only the two generic constraints a placement solve posts — MaxOf for
+// the height objective and LessEq for presolve's symmetry-breaking lex
+// chains — plus FuncProp for ad-hoc ones such as the branch-and-bound
+// cut.
 package csp
 
 import (
@@ -138,50 +141,6 @@ func (d *Domain) recomputeBounds() {
 			break
 		}
 	}
-}
-
-// Union adds every value of o to d, reporting whether d changed. Both
-// domains must share a universe: a value of o that lies outside d's
-// allocated range is a caller bug and panics (growing the bitset would
-// silently break the copy-on-write trail, which snapshots fixed-width
-// word slices).
-func (d *Domain) Union(o *Domain) bool {
-	changed := false
-	o.ForEach(func(v int) bool {
-		i := v - d.base
-		if i < 0 || i >= len(d.words)*64 {
-			panic(fmt.Sprintf("csp: Union value %d outside domain universe [%d,%d]",
-				v, d.base, d.base+len(d.words)*64-1))
-		}
-		w, b := i>>6, uint(i&63)
-		if d.words[w]&(1<<b) == 0 {
-			d.words[w] |= 1 << b
-			d.size++
-			changed = true
-		}
-		return true
-	})
-	if changed {
-		d.recomputeBounds()
-	}
-	return changed
-}
-
-// Bisect splits the domain at the midpoint of its bounds, returning
-// independent lower and upper halves: lo holds the values ≤
-// (min+max)/2, hi the rest. The receiver is left untouched. lo is never
-// empty; hi is empty exactly when the domain is a singleton. Bisect
-// panics on an empty domain.
-func (d *Domain) Bisect() (lo, hi *Domain) {
-	if d.size == 0 {
-		panic("csp: Bisect of empty domain")
-	}
-	mid := d.min + (d.max-d.min)/2
-	lo = d.Clone()
-	lo.RemoveAbove(mid)
-	hi = d.Clone()
-	hi.RemoveBelow(mid + 1)
-	return lo, hi
 }
 
 // Remove deletes v, reporting whether the domain changed.

@@ -10,8 +10,7 @@ import (
 func ExampleSolve() {
 	st := csp.NewStore()
 	x := st.NewVarRange("x", 0, 2)
-	y := st.NewVarRange("y", 0, 2)
-	csp.NotEqual(st, x, y)
+	y := st.NewVarRange("y", 1, 2)
 	csp.LessEq(st, x, y)
 
 	res, err := csp.Solve(st, []*csp.Var{x, y}, csp.Options{}, func(s *csp.Store) bool {
@@ -24,9 +23,11 @@ func ExampleSolve() {
 	fmt.Println("solutions:", res.Solutions, "complete:", res.Complete)
 	// Output:
 	// x=0 y=1
+	// x=1 y=1
 	// x=0 y=2
 	// x=1 y=2
-	// solutions: 3 complete: true
+	// x=2 y=2
+	// solutions: 5 complete: true
 }
 
 // ExampleMinimize finds the optimum of a small model by
@@ -34,10 +35,10 @@ func ExampleSolve() {
 func ExampleMinimize() {
 	st := csp.NewStore()
 	x := st.NewVarRange("x", 0, 9)
-	y := st.NewVarRange("y", 0, 9)
-	obj := st.NewVarRange("obj", 0, 18)
-	csp.Sum(st, obj, x, y)
-	csp.LessEqOffset(st, x, y, 3) // x + 3 <= y
+	y := st.NewVarRange("y", 3, 9)
+	obj := st.NewVarRange("obj", 0, 9)
+	csp.LessEq(st, x, y)
+	csp.MaxOf(st, obj, x, y) // obj = max(x, y)
 
 	res, err := csp.Minimize(st, []*csp.Var{x, y}, obj, csp.Options{}, nil)
 	if err != nil {

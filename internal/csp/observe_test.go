@@ -107,12 +107,13 @@ func TestSolveCountsWithoutRecorder(t *testing.T) {
 func TestSolveStopReasons(t *testing.T) {
 	st := NewStore()
 	q := postQueens(st, 8)
-	res, err := Solve(st, q, Options{MaxSolutions: 2}, func(*Store) bool { return true })
+	seen := 0
+	res, err := Solve(st, q, Options{}, func(*Store) bool { seen++; return seen < 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reason != StopCut {
-		t.Errorf("MaxSolutions reason = %v, want cut", res.Reason)
+	if res.Reason != StopCut || res.Solutions != 2 {
+		t.Errorf("callback cut: reason = %v after %d solutions, want cut after 2", res.Reason, res.Solutions)
 	}
 
 	st2 := NewStore()
@@ -142,7 +143,7 @@ func TestMinimizeStopReasonDistinguishesCauses(t *testing.T) {
 	// run improves slowly and a 1-node stall budget trips quickly.
 	st2 := NewStore()
 	q2 := postQueens(st2, 8)
-	res2, err := Minimize(st2, q2, q2[0], Options{StallNodes: 1, OrderValues: DescendingValues}, nil)
+	res2, err := Minimize(st2, q2, q2[0], Options{StallNodes: 1, OrderValues: descendingValues}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +169,11 @@ func TestMinimizeStopReasonDistinguishesCauses(t *testing.T) {
 func TestMinimizeBestObjectiveTrace(t *testing.T) {
 	run := func(workers int) (MinimizeResult, *eventLog) {
 		st := NewStore()
-		x := st.NewVarRange("x", 0, 9)
-		y := st.NewVarRange("y", 0, 9)
+		x, y := postGap2(st)
 		obj := st.NewVarRange("obj", 0, 18)
-		Sum(st, obj, x, y)
-		LessEqOffset(st, x, y, 2)
+		MaxOf(st, obj, x, y)
 		log := &eventLog{}
-		res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: DescendingValues, Workers: workers}, nil)
+		res, err := Minimize(st, []*Var{x, y}, obj, Options{Recorder: log, OrderValues: descendingValues, Workers: workers}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +262,7 @@ func TestStorePropagationTiming(t *testing.T) {
 	st := NewStore()
 	st.EnableTiming(true)
 	q := postQueens(st, 8)
-	if _, err := Solve(st, q, Options{MaxSolutions: 1}, func(*Store) bool { return true }); err != nil {
+	if _, err := Solve(st, q, Options{}, func(*Store) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	if st.PropagationTime() <= 0 {

@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the Workers > 1 side of Solve and Minimize. The
-// search tree is split at Options.SplitDepth leading branching levels
-// into an ordered list of independent subproblems; Options.Workers
+// search tree is split at its root branching level into an ordered
+// list of independent subproblems, one per value; Options.Workers
 // goroutines, each owning one Store.Clone, pull subproblems from a
 // shared index dispenser and explore them with the same recursion a
 // single-job run uses. The only mutable state shared between workers
@@ -43,15 +43,14 @@ import (
 // SmallestDomain. So once the workers are done, the run replays that
 // subtree on the root store with obj ≤ best and reports the first
 // solution it meets through onImproved. That assignment depends only on
-// the model, the heuristics and SplitDepth. When ChooseVar and the
-// per-variable value order are static it is also the assignment a
-// Workers ≤ 1 run reports: both are the first optimal solution in
-// depth-first order.
+// the model and the heuristics. When ChooseVar and the per-variable
+// value order are static it is also the assignment a Workers ≤ 1 run
+// reports: both are the first optimal solution in depth-first order.
 //
 // Solve runs with Workers > 1 deliver solutions in a scheduling-
-// dependent order. Runs cut short by Deadline/StallNodes/MaxNodes
-// depend on worker interleaving and are not deterministic (same as any
-// anytime stop).
+// dependent order. Runs cut short by Deadline or StallNodes depend on
+// worker interleaving and are not deterministic (same as any anytime
+// stop).
 
 // workerRecorder stamps every event with the worker's 1-based id before
 // forwarding, so merged traces from parallel runs stay attributable.
@@ -81,52 +80,22 @@ type subproblem struct {
 	path  []decision
 }
 
-// split expands the first SplitDepth branching levels of the search
-// rooted at st into subproblems, in sequential DFS order. Intermediate
-// levels are committed (assign + propagate) on st so infeasible
-// prefixes are pruned during the split; the final level enumerates
-// values without propagation (the worker propagates on replay).
-// Branching nodes and dead ends met during the split are counted. st
-// is restored on return.
-func (s *search) split(st *Store, vars []*Var) []subproblem {
-	var jobs []subproblem
-	var path []decision
-	var rec func(depth int)
-	rec = func(depth int) {
-		v := s.opts.ChooseVar(vars)
-		if v == nil {
-			// All variables assigned above the split depth: the prefix
-			// itself is the (single) leaf.
-			jobs = append(jobs, subproblem{index: len(jobs), path: append([]decision(nil), path...)})
-			return
-		}
-		if depth == s.opts.SplitDepth-1 {
-			for _, val := range s.opts.OrderValues(v) {
-				p := make([]decision, len(path)+1)
-				copy(p, path)
-				p[len(path)] = decision{varID: v.id, val: val}
-				jobs = append(jobs, subproblem{index: len(jobs), path: p})
-			}
-			return
-		}
-		s.nodes.Add(1)
-		for _, val := range s.opts.OrderValues(v) {
-			st.Push()
-			err := st.Assign(v, val)
-			if err == nil {
-				err = st.Propagate()
-			}
-			if err == nil {
-				path = append(path, decision{varID: v.id, val: val})
-				rec(depth + 1)
-				path = path[:len(path)-1]
-			} else {
-				s.backtracks.Add(1)
-			}
-			st.Pop()
-		}
+// split expands the root branching level of the search into
+// subproblems, one per value of the root branching variable, in
+// sequential DFS order. The values are not propagated here; the worker
+// propagates on replay.
+func (s *search) split(vars []*Var) []subproblem {
+	v := s.opts.ChooseVar(vars)
+	if v == nil {
+		// All variables assigned at the root: the root itself is the
+		// single leaf.
+		return []subproblem{{}}
 	}
-	rec(0)
+	vals := s.opts.OrderValues(v)
+	jobs := make([]subproblem, len(vals))
+	for i, val := range vals {
+		jobs[i] = subproblem{index: i, path: []decision{{varID: v.id, val: val}}}
+	}
 	return jobs
 }
 
@@ -134,7 +103,7 @@ func (s *search) split(st *Store, vars []*Var) []subproblem {
 // explores them on Workers cloned stores. vars are the search
 // variables on st.
 func (s *search) runParallel(st *Store, vars []*Var) error {
-	jobs := s.split(st, vars)
+	jobs := s.split(vars)
 	workers := make([]*worker, min(s.opts.Workers, len(jobs)))
 	for i := range workers {
 		cl, err := st.Clone()
@@ -192,7 +161,7 @@ func (s *search) replay(st *Store, vars []*Var, job subproblem) {
 		s.onImproved(st, s.best)
 		return false
 	}}
-	r.opts.MaxNodes, r.opts.StallNodes, r.opts.MaxSolutions = 0, 0, 0
+	r.opts.StallNodes = 0
 	st.Push()
 	if st.SetMax(s.obj, s.best) == nil {
 		r.newWorker(st, vars, s.opts.Recorder).runJob(job)

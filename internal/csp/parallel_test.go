@@ -23,15 +23,19 @@ func randomInstance(seed int64, n int) (*Store, []*Var, *Var) {
 		vars[i] = st.NewVarRange("x", lo, lo+3+rng.Intn(2*n))
 	}
 	if rng.Intn(2) == 0 {
-		AllDifferent(st, vars...)
+		allDifferent(st, vars...)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			switch rng.Intn(4) {
 			case 0:
-				NotEqualOffset(st, vars[i], vars[j], rng.Intn(3)-1)
+				notEqual(st, vars[i], vars[j], rng.Intn(3)-1)
 			case 1:
-				LessEqOffset(st, vars[i], vars[j], rng.Intn(2))
+				// x <= y, strict half the time.
+				LessEq(st, vars[i], vars[j])
+				if rng.Intn(2) == 1 {
+					notEqual(st, vars[j], vars[i], 0)
+				}
 			}
 		}
 	}
@@ -232,48 +236,12 @@ func TestIncumbentConcurrentOffers(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialDeepSplit repeats the property at
-// SplitDepth 2 and 3, where intermediate split levels are committed on
-// the root store.
-func TestParallelMatchesSequentialDeepSplit(t *testing.T) {
-	for seed := int64(20); seed <= 25; seed++ {
-		st, vars, obj := randomInstance(seed, 5)
-		seq, err := Minimize(st, vars, obj, Options{}, nil)
-		if err != nil {
-			t.Fatalf("seed %d: Minimize: %v", seed, err)
-		}
-		for _, depth := range []int{2, 3} {
-			pst, pvars, pobj := randomInstance(seed, 5)
-			par, err := Minimize(pst, pvars, pobj, Options{Workers: 4, SplitDepth: depth}, nil)
-			if err != nil {
-				t.Fatalf("seed %d depth %d: Minimize: %v", seed, depth, err)
-			}
-			if par.Found != seq.Found || (seq.Found && par.Best != seq.Best) || !par.Optimal {
-				t.Fatalf("seed %d depth %d: (found %v best %d optimal %v), sequential (found %v best %d)",
-					seed, depth, par.Found, par.Best, par.Optimal, seq.Found, seq.Best)
-			}
-		}
-	}
-}
-
 // TestSolveParallelCountsSolutions checks exhaustive parallel
 // enumeration delivers exactly the sequential solution count.
 func TestSolveParallelCountsSolutions(t *testing.T) {
 	build := func() (*Store, []*Var) {
 		st := NewStore()
-		n := 6
-		vars := make([]*Var, n)
-		for i := range vars {
-			vars[i] = st.NewVarRange("q", 0, n-1)
-		}
-		AllDifferent(st, vars...)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				NotEqualOffset(st, vars[i], vars[j], j-i)
-				NotEqualOffset(st, vars[j], vars[i], j-i)
-			}
-		}
-		return st, vars
+		return st, postQueens(st, 6)
 	}
 	st, vars := build()
 	seq, err := Solve(st, vars, Options{}, func(*Store) bool { return true })
@@ -295,19 +263,19 @@ func TestSolveParallelCountsSolutions(t *testing.T) {
 	}
 }
 
-// TestSolveParallelMaxSolutions checks the cut fires and at most
-// MaxSolutions callbacks run.
-func TestSolveParallelMaxSolutions(t *testing.T) {
+// TestSolveParallelCallbackCut checks a callback cut stops every
+// worker: no callback runs after the one that returned false.
+func TestSolveParallelCallbackCut(t *testing.T) {
 	st := NewStore()
 	vars := make([]*Var, 5)
 	for i := range vars {
 		vars[i] = st.NewVarRange("v", 0, 4)
 	}
-	AllDifferent(st, vars...)
+	allDifferent(st, vars...)
 	delivered := 0
-	res, err := Solve(st, vars, Options{Workers: 4, MaxSolutions: 3}, func(*Store) bool {
-		delivered++ // serialised by the parState mutex
-		return true
+	res, err := Solve(st, vars, Options{Workers: 4}, func(*Store) bool {
+		delivered++ // serialised by the search mutex
+		return delivered < 3
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
@@ -372,7 +340,7 @@ func TestParallelStallNodes(t *testing.T) {
 	for i := range vars {
 		vars[i] = st.NewVarRange("v", 0, 11)
 	}
-	AllDifferent(st, vars...)
+	allDifferent(st, vars...)
 	obj := st.NewVarRange("obj", 0, 11)
 	MaxOf(st, obj, vars...)
 	res, err := Minimize(st, vars, obj, Options{Workers: 4, StallNodes: 40}, nil)
@@ -387,29 +355,6 @@ func TestParallelStallNodes(t *testing.T) {
 	}
 	if !res.Stalled || res.Reason != StopStalled {
 		t.Fatalf("want stalled stop, got %+v", res)
-	}
-}
-
-// TestParallelMaxNodes checks the global node budget stops the run
-// with StopNodeLimit.
-func TestParallelMaxNodes(t *testing.T) {
-	st := NewStore()
-	vars := make([]*Var, 10)
-	for i := range vars {
-		vars[i] = st.NewVarRange("v", 0, 14)
-	}
-	AllDifferent(st, vars...)
-	obj := st.NewVarRange("obj", 0, 14)
-	MaxOf(st, obj, vars...)
-	res, err := Minimize(st, vars, obj, Options{Workers: 4, MaxNodes: 200}, nil)
-	if err != nil {
-		t.Fatalf("Minimize: %v", err)
-	}
-	if res.Reason != StopNodeLimit {
-		t.Fatalf("reason %v, want node-limit", res.Reason)
-	}
-	if res.Optimal {
-		t.Fatal("node-limited run must not claim optimality")
 	}
 }
 
@@ -436,10 +381,7 @@ func TestOptionsValidation(t *testing.T) {
 		opts  Options
 	}{
 		{"StallNodes", Options{StallNodes: -1}},
-		{"MaxNodes", Options{MaxNodes: -7}},
-		{"MaxSolutions", Options{MaxSolutions: -2}},
 		{"Workers", Options{Workers: -1}},
-		{"SplitDepth", Options{SplitDepth: -3}},
 	}
 	for _, tc := range cases {
 		st := NewStore()
@@ -461,37 +403,5 @@ func TestOptionsValidation(t *testing.T) {
 		check("Solve", err)
 		_, err = Minimize(st, vars, y, tc.opts, nil)
 		check("Minimize", err)
-	}
-}
-
-// TestMaxNodesSequential checks the node budget on the sequential
-// entry points.
-func TestMaxNodesSequential(t *testing.T) {
-	build := func() (*Store, []*Var, *Var) {
-		st := NewStore()
-		vars := make([]*Var, 10)
-		for i := range vars {
-			vars[i] = st.NewVarRange("v", 0, 14)
-		}
-		AllDifferent(st, vars...)
-		obj := st.NewVarRange("obj", 0, 14)
-		MaxOf(st, obj, vars...)
-		return st, vars, obj
-	}
-	st, vars, obj := build()
-	res, err := Minimize(st, vars, obj, Options{MaxNodes: 100}, nil)
-	if err != nil {
-		t.Fatalf("Minimize: %v", err)
-	}
-	if res.Reason != StopNodeLimit || res.Nodes > 101 {
-		t.Fatalf("want node-limit stop near 100 nodes, got reason %v after %d nodes", res.Reason, res.Nodes)
-	}
-	st2, vars2, _ := build()
-	sres, err := Solve(st2, vars2, Options{MaxNodes: 100}, func(*Store) bool { return true })
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if sres.Reason != StopNodeLimit || sres.Complete {
-		t.Fatalf("want node-limit stop, got %+v", sres)
 	}
 }

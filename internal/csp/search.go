@@ -46,15 +46,6 @@ func SmallestDomain(vars []*Var) *Var {
 // AscendingValues tries domain values smallest-first.
 func AscendingValues(v *Var) []int { return v.Domain().Values() }
 
-// DescendingValues tries domain values largest-first.
-func DescendingValues(v *Var) []int {
-	vals := v.Domain().Values()
-	for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
-		vals[i], vals[j] = vals[j], vals[i]
-	}
-	return vals
-}
-
 // PreferValues wraps a ValueOrderer so each variable tries a preferred
 // value (keyed by variable id, so the preference survives store
 // cloning) before the inner order. Variables without a preference, or
@@ -97,18 +88,10 @@ type Options struct {
 	// Deadline, when non-zero, aborts search afterwards; partial results
 	// (solutions found so far) remain valid.
 	Deadline time.Time
-	// MaxSolutions stops enumeration after this many solutions
-	// (0 = unlimited; Minimize ignores it).
-	MaxSolutions int
 	// StallNodes, when positive, makes Minimize stop after exploring
 	// this many nodes without improving the incumbent — a deterministic
 	// convergence criterion for anytime optimisation. Solve ignores it.
 	StallNodes int64
-	// MaxNodes, when positive, aborts search after exploring this many
-	// branching nodes (counted across all workers) with Reason
-	// StopNodeLimit — a deterministic budget that, unlike Deadline, does
-	// not depend on machine speed.
-	MaxNodes int64
 	// Recorder, when non-nil, receives the structured search event
 	// stream (branch, backtrack, solution, incumbent) and is installed
 	// on the store for the duration of the search so propagation-level
@@ -117,13 +100,10 @@ type Options struct {
 	Recorder obs.Recorder
 	// Workers sets the number of search goroutines. 0 or 1 searches on
 	// the caller's store alone; above 1 the tree is split into
-	// subproblems explored on cloned stores (see parallel.go for the
-	// requirements and the determinism contract).
+	// subproblems, one per value of the root branching variable,
+	// explored on cloned stores (see parallel.go for the requirements
+	// and the determinism contract).
 	Workers int
-	// SplitDepth is the number of leading branching levels expanded
-	// into independent subproblems when Workers > 1 (0 = 1). Deeper
-	// splits yield more, finer-grained subproblems.
-	SplitDepth int
 }
 
 // OptionError reports an invalid Options field value.
@@ -141,25 +121,16 @@ func (e *OptionError) Error() string {
 
 func (o Options) withDefaults() (Options, error) {
 	switch {
-	case o.MaxSolutions < 0:
-		return o, &OptionError{Field: "MaxSolutions", Value: int64(o.MaxSolutions)}
 	case o.StallNodes < 0:
 		return o, &OptionError{Field: "StallNodes", Value: o.StallNodes}
-	case o.MaxNodes < 0:
-		return o, &OptionError{Field: "MaxNodes", Value: o.MaxNodes}
 	case o.Workers < 0:
 		return o, &OptionError{Field: "Workers", Value: int64(o.Workers)}
-	case o.SplitDepth < 0:
-		return o, &OptionError{Field: "SplitDepth", Value: int64(o.SplitDepth)}
 	}
 	if o.ChooseVar == nil {
 		o.ChooseVar = SmallestDomain
 	}
 	if o.OrderValues == nil {
 		o.OrderValues = AscendingValues
-	}
-	if o.SplitDepth == 0 {
-		o.SplitDepth = 1
 	}
 	return o, nil
 }
@@ -179,11 +150,8 @@ const (
 	StopTimeout
 	// StopStalled: Options.StallNodes elapsed without an improvement.
 	StopStalled
-	// StopCut: enumeration was cut short by the solution callback or
-	// Options.MaxSolutions.
+	// StopCut: enumeration was cut short by the solution callback.
 	StopCut
-	// StopNodeLimit: Options.MaxNodes was reached.
-	StopNodeLimit
 )
 
 // String names the reason.
@@ -197,8 +165,6 @@ func (r StopReason) String() string {
 		return "stalled"
 	case StopCut:
 		return "cut"
-	case StopNodeLimit:
-		return "node-limit"
 	}
 	return "unknown"
 }
@@ -266,7 +232,7 @@ type MinimizeResult struct {
 //
 // With Options.Workers > 1, onSolution is serialised but runs on worker
 // goroutines with a worker's clone of st, in a scheduling-dependent
-// order; which solutions a MaxSolutions cut delivers is likewise
+// order; which solutions a callback cut delivers is likewise
 // scheduling-dependent. The solution count of an exhaustive run is not.
 func Solve(st *Store, vars []*Var, opts Options, onSolution func(*Store) bool) (SearchResult, error) {
 	s, err := newSearch(opts, nil)
@@ -432,12 +398,7 @@ func (s *search) checkStops() bool {
 	if s.interrupted() {
 		return true
 	}
-	n := s.nodes.Load()
-	if s.opts.MaxNodes > 0 && n >= s.opts.MaxNodes {
-		s.stop(StopNodeLimit)
-		return true
-	}
-	if s.opts.StallNodes > 0 && s.inc.Load() != nil && n-s.lastImproved.Load() > s.opts.StallNodes {
+	if s.opts.StallNodes > 0 && s.inc.Load() != nil && s.nodes.Load()-s.lastImproved.Load() > s.opts.StallNodes {
 		s.stop(StopStalled)
 		return true
 	}
@@ -606,8 +567,7 @@ func (w *worker) leaf(depth int) bool {
 		return true
 	}
 	s.solutions++
-	if (s.onSolution != nil && !s.onSolution(w.st)) ||
-		(s.opts.MaxSolutions > 0 && s.solutions >= s.opts.MaxSolutions) {
+	if s.onSolution != nil && !s.onSolution(w.st) {
 		s.stop(StopCut)
 		return true
 	}

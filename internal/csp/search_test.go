@@ -6,7 +6,7 @@ import (
 )
 
 // postQueens builds the n-queens model: column position per row,
-// all-different on columns and both diagonals.
+// pairwise different columns and diagonals.
 func postQueens(st *Store, n int) []*Var {
 	q := make([]*Var, n)
 	for i := range q {
@@ -14,9 +14,9 @@ func postQueens(st *Store, n int) []*Var {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			NotEqual(st, q[i], q[j])
-			NotEqualOffset(st, q[i], q[j], j-i) // q[i] != q[j] + (j-i)
-			NotEqualOffset(st, q[i], q[j], i-j) // q[i] != q[j] - (j-i)
+			notEqual(st, q[i], q[j], 0)
+			notEqual(st, q[i], q[j], j-i) // q[i] != q[j] + (j-i)
+			notEqual(st, q[i], q[j], i-j) // q[i] != q[j] - (j-i)
 		}
 	}
 	return q
@@ -65,18 +65,6 @@ func TestSolveValidatesSolutions(t *testing.T) {
 	}
 }
 
-func TestSolveMaxSolutions(t *testing.T) {
-	st := NewStore()
-	q := postQueens(st, 8)
-	res, err := Solve(st, q, Options{MaxSolutions: 3}, func(*Store) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Solutions != 3 || res.Complete {
-		t.Fatalf("MaxSolutions: got %d complete=%v", res.Solutions, res.Complete)
-	}
-}
-
 func TestSolveCallbackStop(t *testing.T) {
 	st := NewStore()
 	q := postQueens(st, 8)
@@ -91,9 +79,9 @@ func TestSolveCallbackStop(t *testing.T) {
 
 func TestSolveInfeasibleAtRoot(t *testing.T) {
 	st := NewStore()
-	x := st.NewVarRange("x", 0, 5)
+	x := st.NewVarRange("x", 6, 9)
 	y := st.NewVarRange("y", 0, 5)
-	LessEqOffset(st, x, y, 10)
+	LessEq(st, x, y)
 	res, err := Solve(st, []*Var{x, y}, Options{}, func(*Store) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -145,23 +133,12 @@ func TestSolveVariableChoosers(t *testing.T) {
 	}
 }
 
-func TestDescendingValues(t *testing.T) {
-	st := NewStore()
-	x := st.NewVar("x", NewDomainValues(1, 5, 3))
-	vals := DescendingValues(x)
-	if len(vals) != 3 || vals[0] != 5 || vals[2] != 1 {
-		t.Fatalf("DescendingValues = %v", vals)
-	}
-}
-
 func TestMinimizeSimple(t *testing.T) {
-	// Minimise x + y with x + 2 <= y: optimum x=0, y=2, obj=2.
+	// Minimise max(x, y) with x + 2 <= y: optimum y=2, obj=2.
 	st := NewStore()
-	x := st.NewVarRange("x", 0, 9)
-	y := st.NewVarRange("y", 0, 9)
+	x, y := postGap2(st)
 	obj := st.NewVarRange("obj", 0, 18)
-	Sum(st, obj, x, y)
-	LessEqOffset(st, x, y, 2)
+	MaxOf(st, obj, x, y)
 	var seen []int
 	res, err := Minimize(st, []*Var{x, y}, obj, Options{}, func(s *Store, v int) {
 		seen = append(seen, v)
@@ -187,8 +164,11 @@ func TestMinimizeInfeasible(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 3)
 	obj := st.NewVarRange("obj", 0, 3)
-	Equal(st, x, obj)
-	NotEqual(st, x, obj) // contradiction
+	// x = obj and x != obj: the root propagates clean, every branch
+	// fails.
+	LessEq(st, x, obj)
+	LessEq(st, obj, x)
+	notEqual(st, x, obj, 0)
 	res, err := Minimize(st, []*Var{x}, obj, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +181,7 @@ func TestMinimizeInfeasible(t *testing.T) {
 func TestMinimizeDeadlineAnytime(t *testing.T) {
 	st := NewStore()
 	q := postQueens(st, 9)
-	obj := st.NewVarRange("obj", 0, 8)
-	Equal(st, obj, q[0])
-	res, err := Minimize(st, q, obj, Options{Deadline: time.Now().Add(50 * time.Millisecond)}, nil)
+	res, err := Minimize(st, q, q[0], Options{Deadline: time.Now().Add(50 * time.Millisecond)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +209,7 @@ func TestMinimizeRestoresStore(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 9)
 	obj := st.NewVarRange("obj", 0, 9)
-	Equal(st, x, obj)
+	MaxOf(st, obj, x)
 	if _, err := Minimize(st, []*Var{x}, obj, Options{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +222,22 @@ func TestMinimizeRestoresStore(t *testing.T) {
 	}
 }
 
-func TestMustAssignedString(t *testing.T) {
-	st := NewStore()
-	x := st.NewVarRange("x", 3, 3)
-	y := st.NewVarRange("y", 7, 7)
-	if got := mustAssignedString([]*Var{x, y}); got != "x=3 y=7" {
-		t.Fatalf("mustAssignedString = %q", got)
+// postGap2 posts x + 2 <= y over x, y in 0..9 as x <= y plus
+// y != x and y != x + 1.
+func postGap2(st *Store) (x, y *Var) {
+	x = st.NewVarRange("x", 0, 9)
+	y = st.NewVarRange("y", 0, 9)
+	LessEq(st, x, y)
+	notEqual(st, y, x, 0)
+	notEqual(st, y, x, 1)
+	return x, y
+}
+
+// descendingValues tries domain values largest-first.
+func descendingValues(v *Var) []int {
+	vals := v.Domain().Values()
+	for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
+		vals[i], vals[j] = vals[j], vals[i]
 	}
+	return vals
 }

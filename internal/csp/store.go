@@ -490,11 +490,3 @@ func (st *Store) Pop() {
 		st.queued[i] = false
 	}
 }
-
-// ScheduleAll re-enqueues every propagator; used when search state
-// outside the domains (e.g. a branch-and-bound bound) changes.
-func (st *Store) ScheduleAll() {
-	for i := range st.props {
-		st.enqueue(i)
-	}
-}

@@ -121,20 +121,6 @@ func TestStoreFailureClearsOnPop(t *testing.T) {
 	}
 }
 
-// countingProp counts invocations and optionally prunes.
-type countingProp struct {
-	runs  int
-	prune func(st *Store) error
-}
-
-func (p *countingProp) Propagate(st *Store) error {
-	p.runs++
-	if p.prune != nil {
-		return p.prune(st)
-	}
-	return nil
-}
-
 func TestStorePropagationWakesWatchers(t *testing.T) {
 	st := NewStore()
 	x := st.NewVarRange("x", 0, 9)
@@ -171,13 +157,31 @@ func TestStorePropagationWakesWatchers(t *testing.T) {
 
 func TestStorePropagationFixpoint(t *testing.T) {
 	st := NewStore()
-	x := st.NewVarRange("x", 0, 10)
-	y := st.NewVarRange("y", 0, 10)
-	// x + 1 <= y and y + 1 <= x is infeasible; the pair must detect it.
-	LessEqOffset(st, x, y, 1)
-	LessEqOffset(st, y, x, 1)
+	a := st.NewVarRange("a", 3, 10)
+	b := st.NewVarRange("b", 0, 10)
+	c := st.NewVarRange("c", 0, 7)
+	// a <= b <= c: b's bounds move twice, so a <= b must wake again
+	// after b <= c has run.
+	LessEq(st, a, b)
+	LessEq(st, b, c)
+	if err := st.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*Var{a, b, c} {
+		if v.Min() != 3 || v.Max() != 7 {
+			t.Fatalf("fixpoint %v %v %v, want every bound [3,7]", a, b, c)
+		}
+	}
+	// Raising a above c's new bound is only detected by propagating
+	// along the chain.
+	if err := st.SetMin(a, 6); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMax(c, 5); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Propagate(); !errors.Is(err, ErrInconsistent) {
-		t.Fatalf("cycle not detected: %v", err)
+		t.Fatalf("infeasible chain not detected: %v", err)
 	}
 }
 

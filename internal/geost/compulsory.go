@@ -80,15 +80,7 @@ func (p *compulsoryPair) dir(st *csp.Store, narrow, other *Object) error {
 	if comp == nil {
 		return nil
 	}
-	box := boundsOfBitmap(comp)
-	return st.FilterDomain(other.Place, func(val int) bool {
-		osid, ox, oy := other.Decode(val)
-		og := &other.Shapes[osid]
-		if !box.Overlaps(grid.RectXYWH(ox, oy, og.W, og.H)) {
-			return true
-		}
-		return !comp.AnyAt(og.Points, grid.Pt(ox, oy))
-	})
+	return pruneOverlaps(st, other, comp, boundsOfBitmap(comp))
 }
 
 // boundsOfBitmap returns the tight bounding rect of the set bits.

@@ -80,14 +80,26 @@ func (p *nonOverlapPair) dir(st *csp.Store, fixed, other *Object) error {
 	scratch := p.k.scratch
 	scratch.SetPointsAt(g.Points, at, true)
 	defer scratch.SetPointsAt(g.Points, at, false)
+	return pruneOverlaps(st, other, scratch, box)
+}
 
+// pruneOverlaps removes from other's placement domain every candidate
+// whose footprint meets a set cell of blocked. box bounds the set
+// cells, so candidates outside it skip the per-tile test.
+//
+// It must not be inlined: the Go 1.24 compiler does not inline Decode,
+// RectXYWH, Overlaps and AnyAt into the filter closure of an inlined
+// copy, and that closure is the solver's hottest loop.
+//
+//go:noinline
+func pruneOverlaps(st *csp.Store, other *Object, blocked *grid.Bitmap, box grid.Rect) error {
 	return st.FilterDomain(other.Place, func(val int) bool {
 		osid, ox, oy := other.Decode(val)
 		og := &other.Shapes[osid]
 		if !box.Overlaps(grid.RectXYWH(ox, oy, og.W, og.H)) {
 			return true
 		}
-		return !scratch.AnyAt(og.Points, grid.Pt(ox, oy))
+		return !blocked.AnyAt(og.Points, grid.Pt(ox, oy))
 	})
 }
 

@@ -71,21 +71,5 @@ func interchangeable(a, b *geost.Object) bool {
 			return false
 		}
 	}
-	return equalDomains(a.Place.Domain(), b.Place.Domain())
-}
-
-// equalDomains reports value-set equality of two domains.
-func equalDomains(da, db *csp.Domain) bool {
-	if da.Size() != db.Size() {
-		return false
-	}
-	equal := true
-	da.ForEach(func(val int) bool {
-		if !db.Contains(val) {
-			equal = false
-			return false
-		}
-		return true
-	})
-	return equal
+	return a.Place.Domain().Equal(b.Place.Domain())
 }
