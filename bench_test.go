@@ -377,10 +377,10 @@ func benchName(prefix string, v int) string {
 }
 
 // BenchmarkOnlineManagers runs the online space-management comparison
-// (the related-work axes: free-space vs occupied-space management, 1D
-// slots vs 2D placement, design alternatives online) on a saturating
-// task stream over the Table-I region. service_pct is the fraction of
-// arrivals successfully placed.
+// (the related-work axes: first-fit vs MER best-fit free-space
+// management, 1D slots vs 2D placement, design alternatives online) on
+// a saturating task stream over the Table-I region. service_pct is the
+// fraction of arrivals successfully placed.
 func BenchmarkOnlineManagers(b *testing.B) {
 	region := experiments.TableIRegion()
 	stream := online.StreamConfig{Tasks: 150, MeanInterarrival: 2, MeanDuration: 120}

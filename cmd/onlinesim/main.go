@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -63,7 +65,23 @@ func main() {
 	}
 }
 
+// cpReplan names the first-fit policy with CP replanning, which runs
+// only when named.
+const cpReplan = "first-fit+cp-replan"
+
+// managerNames lists the names -manager accepts.
+func managerNames() []string {
+	var names []string
+	for _, m := range online.Managers() {
+		names = append(names, m.Name())
+	}
+	return append(names, cpReplan)
+}
+
 func run(o cliOpts) (err error) {
+	if o.manager != "" && !slices.Contains(managerNames(), o.manager) {
+		return fmt.Errorf("unknown manager %q (valid: %s)", o.manager, strings.Join(managerNames(), ", "))
+	}
 	var region *fabric.Region
 	if o.regionPath != "" {
 		f, err := os.Open(o.regionPath)
@@ -126,11 +144,10 @@ func run(o cliOpts) (err error) {
 	}
 	// CP replan is expensive (one constraint solve per rejection), so it
 	// only runs when explicitly requested.
-	if o.manager == "first-fit+cp-replan" {
+	if o.manager == cpReplan {
 		policies = append(policies, policy{o.manager, &online.FirstFit{UseAlternatives: true},
 			&core.Options{Workers: o.workers, Recorder: session.Recorder, Metrics: session.Registry}})
 	}
-	ran := false
 	for _, p := range policies {
 		if o.manager != "" && p.name != o.manager {
 			continue
@@ -140,10 +157,6 @@ func run(o cliOpts) (err error) {
 			return err
 		}
 		fmt.Printf("%-28s %v\n", p.name, st)
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown manager %q", o.manager)
 	}
 	return nil
 }

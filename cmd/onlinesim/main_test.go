@@ -80,17 +80,30 @@ func TestRunMetrics(t *testing.T) {
 	}
 }
 
+// TestRunUnknownManagerListsValidNames checks that a bad -manager,
+// including the retired occupied-space policy, fails before any run
+// and names every manager the command accepts.
+func TestRunUnknownManagerListsValidNames(t *testing.T) {
+	for _, name := range []string{"bogus-manager", "occupied-space"} {
+		o := baseOpts()
+		o.manager = name
+		err := run(o)
+		if err == nil {
+			t.Fatalf("%s: unknown manager accepted", name)
+		}
+		for _, valid := range []string{"first-fit", "first-fit+alternatives", "mer-best-fit", "mer-best-fit+alternatives", "1d-slots", "first-fit+cp-replan"} {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("%s: error %q does not list %s", name, err, valid)
+			}
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	o := baseOpts()
 	o.device = "bogus"
 	if err := run(o); err == nil {
 		t.Error("unknown device accepted")
-	}
-	o = baseOpts()
-	o.tasks = 10
-	o.manager = "bogus-manager"
-	if err := run(o); err == nil {
-		t.Error("unknown manager accepted")
 	}
 	o = baseOpts()
 	o.device = ""

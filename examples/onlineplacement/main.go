@@ -1,8 +1,8 @@
 // Onlineplacement contrasts the online space-management policies of the
 // related-work landscape on one heterogeneous region: free-space
-// first-fit and maximal-empty-rectangle best-fit (Bazargan-style),
-// occupied-space management (Ahmadinia-style), and 1D slot placement —
-// each with and without design alternatives where applicable. It prints
+// first-fit and maximal-empty-rectangle best-fit (Bazargan-style) and
+// 1D slot placement — each with and without design alternatives where
+// applicable. It prints
 // the service level (fulfilled module requests) every policy achieves on
 // the same seeded task stream.
 //

@@ -1,10 +1,11 @@
 // Package baseline implements the heuristic placers the paper's related
 // work section positions against the constraint-programming approach:
 // first-fit and bottom-left-decreasing online-style packers, a best-fit
-// variant, and a simulated-annealing optimiser. They share the core
-// placer's valid-anchor machinery (so heterogeneity is handled
-// identically) and report results in the same Result type, making
-// head-to-head utilization comparisons direct.
+// variant, and a simulated-annealing optimiser. They pack onto the
+// online engine's occupancy, online.Space, through its one greedy scan,
+// FirstFree, so heterogeneity is handled identically to the core placer
+// and the online managers, and they report results in the same Result
+// type, making head-to-head utilization comparisons direct.
 package baseline
 
 import (
@@ -18,6 +19,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/module"
+	"repro/internal/online"
 )
 
 // Algorithm selects a baseline placer.
@@ -71,107 +73,41 @@ type Options struct {
 	Iterations int
 }
 
-// candidate is one shape of a module: its footprint, painted and tested
-// at an anchor on the occupancy bitmap, and its bounding size.
-type candidate struct {
-	shapeIdx int
-	points   []grid.Point // shape-relative
-	w, h     int
+// shapes returns how many of m's shapes the heuristic may use.
+func (o Options) shapes(m *module.Module) int {
+	if o.UseAlternatives {
+		return m.NumShapes()
+	}
+	return 1
 }
 
-type placedState struct {
-	region  *fabric.Region
-	occ     *grid.Bitmap
-	anchors [][]*grid.Bitmap // per module, per shape
-	cands   [][]candidate    // per module, per shape
-	mods    []*module.Module
+// resident is placement i as an entry of the occupancy.
+func resident(i int, p core.Placement) online.Resident {
+	return online.Resident{ID: online.TaskID(i), Module: p.Module, Shape: p.ShapeIndex, At: p.At}
 }
 
-func newState(region *fabric.Region, mods []*module.Module, useAlts bool) (*placedState, error) {
-	s := &placedState{
-		region:  region,
-		occ:     grid.NewBitmap(region.W(), region.H()),
-		anchors: make([][]*grid.Bitmap, len(mods)),
-		cands:   make([][]candidate, len(mods)),
-		mods:    mods,
-	}
-	for i, m := range mods {
-		nShapes := m.NumShapes()
-		if !useAlts {
-			nShapes = 1
+// bestFit returns the feasible (shape, anchor) of m minimising
+// (resulting top, y, x, shape): the minimum over each shape's first
+// free anchor, since a shape's resulting top only grows with its row.
+func bestFit(sp *online.Space, m *module.Module, n, currentTop int) (online.Placement, bool) {
+	var best online.Placement
+	bestTop, found := 0, false
+	for si := 0; si < n; si++ {
+		s := m.Shape(si)
+		within := sp.Bounds()
+		if found {
+			within.MaxY = bestTop - s.H() + 1 // higher anchors end above bestTop
 		}
-		any := false
-		for si := 0; si < nShapes; si++ {
-			sh := m.Shape(si)
-			va := core.ValidAnchors(region, sh)
-			s.anchors[i] = append(s.anchors[i], va)
-			s.cands[i] = append(s.cands[i], candidate{
-				shapeIdx: si,
-				points:   sh.Points(),
-				w:        sh.W(),
-				h:        sh.H(),
-			})
-			if va.Count() > 0 {
-				any = true
-			}
+		at, ok := sp.FirstFree(s, within)
+		if !ok {
+			continue
 		}
-		if !any {
-			return nil, fmt.Errorf("baseline: module %s has no feasible placement", m.Name())
+		top := max(at.Y+s.H(), currentTop)
+		if !found || top < bestTop || top == bestTop && at.Less(best.At) {
+			best, bestTop, found = online.Placement{Shape: si, At: at}, top, true
 		}
 	}
-	return s, nil
-}
-
-// fits reports whether module i's shape si fits at (x, y) given current
-// occupancy.
-func (s *placedState) fits(i, si, x, y int) bool {
-	if !s.anchors[i][si].Get(x, y) {
-		return false
-	}
-	return !s.occ.AnyAt(s.cands[i][si].points, grid.Pt(x, y))
-}
-
-// bottomLeft returns the bottom-left-most feasible (shape, anchor) of
-// module i, or ok=false.
-func (s *placedState) bottomLeft(i int) (si, x, y int, ok bool) {
-	for yy := 0; yy < s.region.H(); yy++ {
-		for xx := 0; xx < s.region.W(); xx++ {
-			for ci := range s.cands[i] {
-				if s.fits(i, ci, xx, yy) {
-					return ci, xx, yy, true
-				}
-			}
-		}
-	}
-	return 0, 0, 0, false
-}
-
-// bestFit returns the feasible (shape, anchor) of module i minimising
-// (resulting top, y, x), or ok=false.
-func (s *placedState) bestFit(i, currentTop int) (si, x, y int, ok bool) {
-	bestTop := 1 << 30
-	for yy := 0; yy < s.region.H(); yy++ {
-		if ok && yy >= bestTop {
-			break // anchors at or above the best top cannot improve
-		}
-		for xx := 0; xx < s.region.W(); xx++ {
-			for ci := range s.cands[i] {
-				if !s.fits(i, ci, xx, yy) {
-					continue
-				}
-				top := yy + s.cands[i][ci].h
-				if top < currentTop {
-					top = currentTop
-				}
-				if !ok || top < bestTop {
-					ok = true
-					bestTop = top
-					si, x, y = ci, xx, yy
-				}
-			}
-		}
-	}
-	return si, x, y, ok
+	return best, found
 }
 
 // Place runs the selected baseline and returns a core.Result (with
@@ -181,9 +117,13 @@ func Place(region *fabric.Region, mods []*module.Module, alg Algorithm, opts Opt
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("baseline: no modules to place")
 	}
-	st, err := newState(region, mods, opts.UseAlternatives)
-	if err != nil {
-		return nil, err
+	sp := online.NewSpace(region)
+	ff := &online.FirstFit{UseAlternatives: opts.UseAlternatives}
+	// A module that does not fit the empty region can never be placed.
+	for _, m := range mods {
+		if _, ok := ff.TryPlace(sp, m); !ok {
+			return nil, fmt.Errorf("baseline: module %s has no feasible placement", m.Name())
+		}
 	}
 
 	order := make([]int, len(mods))
@@ -198,22 +138,20 @@ func Place(region *fabric.Region, mods []*module.Module, alg Algorithm, opts Opt
 	placedOK := true
 	currentTop := 0
 	for _, i := range order {
-		var si, x, y int
+		var p online.Placement
 		var ok bool
 		if alg == BestFit {
-			si, x, y, ok = st.bestFit(i, currentTop)
+			p, ok = bestFit(sp, mods[i], opts.shapes(mods[i]), currentTop)
 		} else {
-			si, x, y, ok = st.bottomLeft(i)
+			p, ok = ff.TryPlace(sp, mods[i])
 		}
 		if !ok {
 			placedOK = false
 			break
 		}
-		st.occ.SetPointsAt(st.cands[i][si].points, grid.Pt(x, y), true)
-		placements[i] = core.Placement{Module: mods[i], ShapeIndex: si, At: grid.Pt(x, y)}
-		if top := y + st.cands[i][si].h; top > currentTop {
-			currentTop = top
-		}
+		placements[i] = core.Placement{Module: mods[i], ShapeIndex: p.Shape, At: p.At}
+		sp.Add(resident(i, placements[i]))
+		currentTop = max(currentTop, placements[i].Top())
 	}
 
 	res := &core.Result{}
@@ -221,7 +159,7 @@ func Place(region *fabric.Region, mods []*module.Module, alg Algorithm, opts Opt
 		res.Found = true
 		res.Placements = placements
 		if alg == Annealing {
-			anneal(st, placements, opts)
+			anneal(sp, placements, opts)
 		}
 		res.Height = maxTop(placements)
 		res.Utilization = metrics.Utilization(region, res.Occupancy(region))
@@ -252,12 +190,13 @@ func maxTop(ps []core.Placement) int {
 // single-module relocations, accepted by the Metropolis criterion on a
 // cost mixing occupied height (dominant) and total module elevation
 // (gradient within equal heights).
-func anneal(st *placedState, placements []core.Placement, opts Options) {
+func anneal(sp *online.Space, placements []core.Placement, opts Options) {
 	iters := opts.Iterations
 	if iters <= 0 {
 		iters = 20000
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
+	bounds := sp.Bounds()
 
 	cost := func() float64 {
 		h := 0
@@ -278,48 +217,31 @@ func anneal(st *placedState, placements []core.Placement, opts Options) {
 		temp := t0 * math.Pow(0.001/t0, float64(it)/float64(iters))
 		i := rng.Intn(len(placements))
 		old := placements[i]
-		oldIdx := shapeStateIndex(st, i, old.ShapeIndex)
-		if oldIdx < 0 {
-			continue
-		}
-		oldPts := st.cands[i][oldIdx].points
-		st.occ.SetPointsAt(oldPts, old.At, false)
+		sp.Remove(online.TaskID(i))
 
 		// Draw a random candidate anchor biased low: pick a random row
 		// from the lower half more often.
-		ci := rng.Intn(len(st.cands[i]))
-		x := rng.Intn(st.region.W())
-		y := rng.Intn(st.region.H())
+		si := rng.Intn(opts.shapes(old.Module))
+		x := rng.Intn(bounds.W())
+		y := rng.Intn(bounds.H())
 		if rng.Intn(2) == 0 {
-			y = rng.Intn(st.region.H()/2 + 1)
+			y = rng.Intn(bounds.H()/2 + 1)
 		}
-		if !st.fits(i, ci, x, y) {
-			st.occ.SetPointsAt(oldPts, old.At, true)
+		at := grid.Pt(x, y)
+		if !sp.Fits(old.Module.Shape(si), at) {
+			sp.Add(resident(i, old))
 			continue
 		}
-		pts, at := st.cands[i][ci].points, grid.Pt(x, y)
-		st.occ.SetPointsAt(pts, at, true)
-		placements[i] = core.Placement{Module: old.Module, ShapeIndex: st.cands[i][ci].shapeIdx, At: at}
+		placements[i] = core.Placement{Module: old.Module, ShapeIndex: si, At: at}
+		sp.Add(resident(i, placements[i]))
 		nxt := cost()
 		if nxt <= cur || rng.Float64() < math.Exp((cur-nxt)/temp) {
 			cur = nxt
 			continue
 		}
 		// Reject: restore.
-		st.occ.SetPointsAt(pts, at, false)
-		st.occ.SetPointsAt(oldPts, old.At, true)
+		sp.Remove(online.TaskID(i))
+		sp.Add(resident(i, old))
 		placements[i] = old
 	}
-}
-
-// shapeStateIndex maps a module's shape index back to its slot in the
-// state's candidate list (identity when alternatives are enabled, 0
-// otherwise).
-func shapeStateIndex(st *placedState, i, shapeIdx int) int {
-	for ci, c := range st.cands[i] {
-		if c.shapeIdx == shapeIdx {
-			return ci
-		}
-	}
-	return -1
 }

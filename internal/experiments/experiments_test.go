@@ -246,7 +246,7 @@ func TestOnlineComparisonQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
+	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	byName := map[string]OnlineRow{}

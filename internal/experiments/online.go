@@ -36,8 +36,8 @@ func FormatOnlineRows(title string, rows []OnlineRow) string {
 // OnlineComparison runs the online-placement protocol: per seeded run, a
 // task stream is drawn and every space-management policy serves it on
 // the Table-I region. It quantifies the related-work axes of the paper
-// (free-space vs occupied-space management, 1D slots vs 2D placement,
-// and design alternatives in the online setting).
+// (first-fit vs MER best-fit free-space management, 1D slots vs 2D
+// placement, and design alternatives in the online setting).
 func OnlineComparison(cfg RunConfig, stream online.StreamConfig) ([]OnlineRow, error) {
 	cfg = cfg.defaults()
 	if stream.Tasks == 0 {

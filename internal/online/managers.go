@@ -9,11 +9,12 @@ import (
 	"repro/internal/module"
 )
 
-// Space is the one occupancy of an online run or session: the region,
-// its occupancy bitmap, the resident table, and per-shape anchor caches
-// (the fused M_a ∧ M_b constraint, cached by shape fingerprint since
-// tasks reuse module layouts). The engine (State) owns and changes it;
-// managers only read it.
+// Space is one occupancy of a region: its occupancy bitmap, the
+// resident table, and per-shape anchor caches (the fused M_a ∧ M_b
+// constraint, cached by shape fingerprint since tasks reuse module
+// layouts). An online run or session's Space is owned and changed by
+// its State, and managers only read it; the baseline packers build
+// their own.
 type Space struct {
 	region    *fabric.Region
 	occ       *grid.Bitmap
@@ -21,14 +22,18 @@ type Space struct {
 	residents map[TaskID]Resident
 }
 
-func newSpace(region *fabric.Region) Space {
-	return Space{
+// NewSpace returns an empty occupancy of region.
+func NewSpace(region *fabric.Region) *Space {
+	return &Space{
 		region:    region,
 		occ:       grid.NewBitmap(region.W(), region.H()),
 		anchors:   map[string]*grid.Bitmap{},
 		residents: map[TaskID]Resident{},
 	}
 }
+
+// Bounds returns the region's anchor rectangle [0,W)×[0,H).
+func (sp *Space) Bounds() grid.Rect { return sp.occ.Bounds() }
 
 func (sp *Space) anchorsFor(s *module.Shape) *grid.Bitmap {
 	if a, ok := sp.anchors[s.Key()]; ok {
@@ -39,19 +44,44 @@ func (sp *Space) anchorsFor(s *module.Shape) *grid.Bitmap {
 	return a
 }
 
-// freeAt reports whether shape s can go at (x, y): anchor valid and all
-// tiles unoccupied.
-func (sp *Space) freeAt(s *module.Shape, x, y int) bool {
-	if !sp.anchorsFor(s).Get(x, y) {
-		return false
-	}
-	return !sp.occ.AnyAt(s.Points(), grid.Pt(x, y))
+// Fits reports whether shape s can go at anchor at: the anchor is valid
+// and every tile is unoccupied.
+func (sp *Space) Fits(s *module.Shape, at grid.Point) bool {
+	return sp.anchorsFor(s).Get(at.X, at.Y) && !sp.occ.AnyAt(s.Points(), at)
 }
 
-// add paints r onto the occupancy and records it as resident.
-func (sp *Space) add(r Resident) {
+// FirstFree returns the bottom-left-most anchor (lowest row, then
+// lowest column) in within, clipped to the region, at which s fits. It
+// is the one greedy scan every site policy and baseline packer uses.
+func (sp *Space) FirstFree(s *module.Shape, within grid.Rect) (grid.Point, bool) {
+	within = within.Intersect(sp.Bounds())
+	va, pts := sp.anchorsFor(s), s.Points()
+	for y := within.MinY; y < within.MaxY; y++ {
+		for x := within.MinX; x < within.MaxX; x++ {
+			if at := grid.Pt(x, y); va.Get(x, y) && !sp.occ.AnyAt(pts, at) {
+				return at, true
+			}
+		}
+	}
+	return grid.Point{}, false
+}
+
+// Add paints r onto the occupancy and records it as resident.
+func (sp *Space) Add(r Resident) {
 	r.paint(sp.occ, true)
 	sp.residents[r.ID] = r
+}
+
+// Remove clears resident id from the occupancy; it reports false when
+// id is not resident.
+func (sp *Space) Remove(id TaskID) bool {
+	r, ok := sp.residents[id]
+	if !ok {
+		return false
+	}
+	delete(sp.residents, id)
+	r.paint(sp.occ, false)
+	return true
 }
 
 // shapeRange returns the shape indices a manager may use.
@@ -78,19 +108,19 @@ func (m *FirstFit) Name() string {
 	return "first-fit"
 }
 
-// TryPlace implements Manager.
+// TryPlace implements Manager: the (y, x, shape) minimum over each
+// shape's first free anchor.
 func (m *FirstFit) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
-	n := shapeRange(mod, m.UseAlternatives)
-	for y := 0; y < sp.region.H(); y++ {
-		for x := 0; x < sp.region.W(); x++ {
-			for si := 0; si < n; si++ {
-				if sp.freeAt(mod.Shape(si), x, y) {
-					return Placement{Shape: si, At: grid.Pt(x, y)}, true
-				}
-			}
+	var best Placement
+	found := false
+	within := sp.Bounds()
+	for si := 0; si < shapeRange(mod, m.UseAlternatives); si++ {
+		if at, ok := sp.FirstFree(mod.Shape(si), within); ok && (!found || at.Less(best.At)) {
+			best, found = Placement{Shape: si, At: at}, true
+			within.MaxY = at.Y + 1 // later shapes can only win on this row or below
 		}
 	}
-	return Placement{}, false
+	return best, found
 }
 
 // BestFitMER is free-space management with maximal-empty-rectangle
@@ -128,10 +158,12 @@ func (m *BestFitMER) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
 			}
 			// Heterogeneity: the rectangle is geometrically free but the
 			// shape's resource pattern may only align at some anchors
-			// inside it — scan bottom-left within the rectangle.
-			if x, y, ok := anchorInRect(sp, s, r); ok {
+			// inside it — scan bottom-left over the anchors that keep the
+			// shape inside the rectangle.
+			anchors := grid.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX - s.W() + 1, MaxY: r.MaxY - s.H() + 1}
+			if at, ok := sp.FirstFree(s, anchors); ok {
 				bestWaste = waste
-				best = Placement{Shape: si, At: grid.Pt(x, y)}
+				best = Placement{Shape: si, At: at}
 				found = true
 			}
 		}
@@ -139,117 +171,42 @@ func (m *BestFitMER) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
 	return best, found
 }
 
-func anchorInRect(sp *Space, s *module.Shape, r grid.Rect) (int, int, bool) {
-	va := sp.anchorsFor(s)
-	for y := r.MinY; y+s.H() <= r.MaxY; y++ {
-		for x := r.MinX; x+s.W() <= r.MaxX; x++ {
-			// Tiles inside a maximal empty rect are unoccupied by
-			// construction; only anchor validity needs checking.
-			if va.Get(x, y) {
-				return x, y, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
-// OccupiedSpace is occupied-space management after Ahmadinia et al. [5]:
-// candidate positions are derived from the boundaries of the already
-// placed modules (and the region border) instead of scanning all free
-// space; the bottom-left-most adjacent position wins. This both shrinks
-// the candidate set and packs modules against each other.
-type OccupiedSpace struct {
-	UseAlternatives bool
-}
-
-// Name implements Manager.
-func (m *OccupiedSpace) Name() string {
-	if m.UseAlternatives {
-		return "occupied-space+alternatives"
-	}
-	return "occupied-space"
-}
-
-// TryPlace implements Manager.
-func (m *OccupiedSpace) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
-	n := shapeRange(mod, m.UseAlternatives)
-	for y := 0; y < sp.region.H(); y++ {
-		for x := 0; x < sp.region.W(); x++ {
-			for si := 0; si < n; si++ {
-				s := mod.Shape(si)
-				if sp.freeAt(s, x, y) && touches(sp, s, x, y) {
-					return Placement{Shape: si, At: grid.Pt(x, y)}, true
-				}
-			}
-		}
-	}
-	return Placement{}, false
-}
-
-// touches reports whether the shape at (x, y) abuts the region border or
-// an occupied tile — the "managed" positions of occupied-space policies.
-func touches(sp *Space, s *module.Shape, x, y int) bool {
-	for _, p := range s.Points() {
-		ax, ay := p.X+x, p.Y+y
-		if ax == 0 || ay == 0 || ax == sp.region.W()-1 || ay == sp.region.H()-1 {
-			return true
-		}
-		if sp.occ.Get(ax-1, ay) || sp.occ.Get(ax+1, ay) ||
-			sp.occ.Get(ax, ay-1) || sp.occ.Get(ax, ay+1) {
-			return true
-		}
-	}
-	return false
-}
+// slotWidth is the width of one Slot1D slot in tiles.
+const slotWidth = 8
 
 // Slot1D is 1D slot-style placement: the region is pre-partitioned into
 // fixed-width, full-height slots and every module exclusively reserves a
 // contiguous run of slots — the coarse model of early reconfigurable
 // systems the paper's classification contrasts with 2D placement. The
 // reserved-but-unused area is internal fragmentation. A resident
-// reserves every slot its bounding box touches.
-type Slot1D struct {
-	// SlotWidth is the width of one slot in tiles (default 8).
-	SlotWidth       int
-	UseAlternatives bool
-}
+// reserves every slot its bounding box touches. Slots are slotWidth
+// tiles wide and the module's primary shape is used.
+type Slot1D struct{}
 
 // Name implements Manager.
 func (m *Slot1D) Name() string { return "1d-slots" }
 
 // TryPlace implements Manager.
 func (m *Slot1D) TryPlace(sp *Space, mod *module.Module) (Placement, bool) {
-	width := m.SlotWidth
-	if width <= 0 {
-		width = 8
-	}
-	busy := make([]bool, sp.region.W()/width)
+	busy := make([]bool, sp.region.W()/slotWidth)
 	//solverlint:allow nondeterminism marking reserved slots is order-independent
 	for _, r := range sp.residents {
-		last := (r.At.X + r.Module.Shape(r.Shape).W() - 1) / width
-		for i := r.At.X / width; i <= last && i < len(busy); i++ {
+		last := (r.At.X + r.Module.Shape(r.Shape).W() - 1) / slotWidth
+		for i := r.At.X / slotWidth; i <= last && i < len(busy); i++ {
 			busy[i] = true
 		}
 	}
-	n := shapeRange(mod, m.UseAlternatives)
-	for si := 0; si < n; si++ {
-		s := mod.Shape(si)
-		need := (s.W() + width - 1) / width
-		for first := 0; first+need <= len(busy); first++ {
-			if slices.Contains(busy[first:first+need], true) {
-				continue
-			}
-			// The module may sit anywhere inside its reserved slots; the
-			// fabric's resource pattern decides which anchors work.
-			lo := first * width
-			hi := (first+need)*width - s.W()
-			for y := 0; y+s.H() <= sp.region.H(); y++ {
-				for x := lo; x <= hi; x++ {
-					if sp.freeAt(s, x, y) {
-						return Placement{Shape: si, At: grid.Pt(x, y)}, true
-					}
-				}
-			}
+	s := mod.Shape(0)
+	need := (s.W() + slotWidth - 1) / slotWidth
+	for first := 0; first+need <= len(busy); first++ {
+		if slices.Contains(busy[first:first+need], true) {
+			continue
+		}
+		// The module may sit anywhere inside its reserved slots; the
+		// fabric's resource pattern decides which anchors work.
+		anchors := grid.Rect{MinX: first * slotWidth, MaxX: (first+need)*slotWidth - s.W() + 1, MaxY: sp.region.H()}
+		if at, ok := sp.FirstFree(s, anchors); ok {
+			return Placement{At: at}, true
 		}
 	}
 	return Placement{}, false
@@ -263,8 +220,6 @@ func Managers() []Manager {
 		&FirstFit{UseAlternatives: true},
 		&BestFitMER{},
 		&BestFitMER{UseAlternatives: true},
-		&OccupiedSpace{},
-		&OccupiedSpace{UseAlternatives: true},
 		&Slot1D{},
 	}
 }

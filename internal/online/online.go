@@ -1,12 +1,16 @@
 // Package online simulates online module placement on a reconfigurable
 // region: tasks (module instances) arrive and depart at run time and a
 // space manager decides, per arrival, where — and whether — the module
-// can be placed. It implements the management strategies the paper's
-// related-work section classifies: free-space management (first-fit and
-// maximal-empty-rectangle best-fit, after Bazargan et al. [4]),
-// occupied-space management (adjacency-guided, after Ahmadinia et
-// al. [5]), and 1D slot-style placement; all against the same
-// heterogeneous fabric model as the offline placer.
+// can be placed. It implements free-space management (first-fit and
+// maximal-empty-rectangle best-fit, after Bazargan et al. [4]) and 1D
+// slot-style placement, all against the same heterogeneous fabric model
+// as the offline placer and all through one greedy scan,
+// Space.FirstFree. The occupied-space pole of the paper's
+// classification (Ahmadinia et al. [5]) has no manager of its own: a
+// row-major scan filtered to positions touching occupied space almost
+// always chose first-fit's site (its row-major-first free anchor nearly
+// always touches something), so "occupied-space" and "adjacency" name
+// first-fit in sessions.
 //
 // The simulator measures service level (fraction of arrivals placed),
 // time-weighted utilization and fragmentation, and configuration-port

@@ -156,7 +156,7 @@ func TestSlot1DInternalFragmentation(t *testing.T) {
 			ID: TaskID(i), Module: clbModule("m", 2, 2), Arrive: int64(i), Duration: 1000,
 		})
 	}
-	st, err := Simulate(region, &Slot1D{SlotWidth: 8}, tasks, fabric.DefaultFrameModel(), nil)
+	st, err := Simulate(region, &Slot1D{}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSlot1DReleaseReusesSlots(t *testing.T) {
 		{ID: 1, Module: clbModule("b", 8, 4), Arrive: 1, Duration: 5},
 		{ID: 2, Module: clbModule("c", 8, 4), Arrive: 20, Duration: 5},
 	}
-	st, err := Simulate(region, &Slot1D{SlotWidth: 8}, tasks, fabric.DefaultFrameModel(), nil)
+	st, err := Simulate(region, &Slot1D{}, tasks, fabric.DefaultFrameModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 
 // StateConfig configures a session State.
 type StateConfig struct {
-	// Manager selects the greedy policy: "first-fit", "mer-best-fit" or
-	// "occupied-space" (alias "adjacency"). Empty means first-fit.
+	// Manager selects the greedy policy: "first-fit" or "mer-best-fit".
+	// Empty means first-fit; "occupied-space" and "adjacency" are
+	// aliases of first-fit.
 	Manager string
 	// UseAlternatives lets the greedy policy pick among a module's
 	// design alternatives.
@@ -32,7 +33,8 @@ type StateConfig struct {
 }
 
 // SessionManagers lists the manager names NewState accepts, canonical
-// form first.
+// form first; "occupied-space" and "adjacency" are aliases of
+// first-fit.
 func SessionManagers() []string {
 	return []string{"first-fit", "mer-best-fit", "occupied-space", "adjacency"}
 }
@@ -49,7 +51,7 @@ func SessionManagers() []string {
 // State is not safe for concurrent use; callers (the placement
 // service's session store) serialise access per session.
 type State struct {
-	sp     Space
+	sp     *Space
 	mgr    Manager
 	fm     fabric.FrameModel
 	replan core.Options
@@ -72,12 +74,10 @@ func NewState(region *fabric.Region, cfg StateConfig) (*State, error) {
 	}
 	var mgr Manager
 	switch cfg.Manager {
-	case "", "first-fit":
+	case "", "first-fit", "occupied-space", "adjacency":
 		mgr = &FirstFit{UseAlternatives: cfg.UseAlternatives}
 	case "mer-best-fit":
 		mgr = &BestFitMER{UseAlternatives: cfg.UseAlternatives}
-	case "occupied-space", "adjacency":
-		mgr = &OccupiedSpace{UseAlternatives: cfg.UseAlternatives}
 	default:
 		return nil, fmt.Errorf("online: unknown session manager %q (have %v)", cfg.Manager, SessionManagers())
 	}
@@ -92,7 +92,7 @@ func newState(region *fabric.Region, mgr Manager, fm fabric.FrameModel, replan c
 	if err := fm.Validate(); err != nil {
 		return nil, err
 	}
-	return &State{sp: newSpace(region), mgr: mgr, fm: fm, replan: replan}, nil
+	return &State{sp: NewSpace(region), mgr: mgr, fm: fm, replan: replan}, nil
 }
 
 // ManagerName returns the session's greedy policy name.
@@ -147,14 +147,14 @@ func (s *State) placeGreedy(id TaskID, mod *module.Module) (PlaceOutcome, bool, 
 	if _, ok := s.sp.residents[id]; ok {
 		return PlaceOutcome{}, false, fmt.Errorf("online: task %d already resident", id)
 	}
-	p, ok := s.mgr.TryPlace(&s.sp, mod)
+	p, ok := s.mgr.TryPlace(s.sp, mod)
 	if !ok {
 		return PlaceOutcome{}, false, nil
 	}
 	if _, err := ValidatePlacement(s.sp.region, s.sp.occ, mod, p); err != nil {
 		return PlaceOutcome{}, false, fmt.Errorf("online: manager %s task %d: %w", s.mgr.Name(), id, err)
 	}
-	s.sp.add(Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At})
+	s.sp.Add(Resident{ID: id, Module: mod, Shape: p.Shape, At: p.At})
 	s.placed++
 	cost := s.cost(mod.Shape(p.Shape), p.At)
 	s.reconfig += cost
@@ -183,7 +183,7 @@ func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error)
 	if _, err := ValidatePlacement(s.sp.region, s.sp.occ, mod, out.Placement); err != nil {
 		return PlaceOutcome{}, fmt.Errorf("online: replan produced invalid newcomer placement: %w", err)
 	}
-	s.sp.add(Resident{ID: id, Module: mod, Shape: out.Placement.Shape, At: out.Placement.At})
+	s.sp.Add(Resident{ID: id, Module: mod, Shape: out.Placement.Shape, At: out.Placement.At})
 	for _, mv := range out.Moves {
 		out.Reconfig += mv.Reconfig
 	}
@@ -196,15 +196,7 @@ func (s *State) replanPlace(id TaskID, mod *module.Module) (PlaceOutcome, error)
 
 // Release frees a resident module; releasing an unknown id is a no-op
 // (the operation is idempotent so clients may retry it blindly).
-func (s *State) Release(id TaskID) bool {
-	r, ok := s.sp.residents[id]
-	if !ok {
-		return false
-	}
-	delete(s.sp.residents, id)
-	r.paint(s.sp.occ, false)
-	return true
-}
+func (s *State) Release(id TaskID) bool { return s.sp.Remove(id) }
 
 // MoveCost is one relocation of a defragmentation or replan schedule,
 // priced by the frame model.
@@ -277,7 +269,7 @@ func (s *State) commitMoves(moves []Move) ([]MoveCost, error) {
 	}
 	s.sp.occ.Clear()
 	for _, r := range after {
-		s.sp.add(r)
+		s.sp.Add(r)
 	}
 	s.moves += len(moves)
 	priced := make([]MoveCost, 0, len(moves))

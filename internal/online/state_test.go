@@ -21,6 +21,12 @@ func TestNewStateManagerSelection(t *testing.T) {
 			t.Fatalf("%s: empty manager name", name)
 		}
 	}
+	for _, alias := range []string{"", "occupied-space", "adjacency"} {
+		st, err := NewState(region, StateConfig{Manager: alias})
+		if err != nil || st.ManagerName() != "first-fit" {
+			t.Fatalf("%q: not first-fit: %v", alias, err)
+		}
+	}
 	if _, err := NewState(region, StateConfig{Manager: "1d-slots"}); err == nil {
 		t.Fatal("slot manager accepted for a session")
 	}
@@ -268,31 +274,31 @@ func TestStateDefragEmptyAndTight(t *testing.T) {
 
 // TestSlot1DReservesSlotsOfEngineResidents places residents through
 // the engine, not through Slot1D: one fills slot 0, one straddles slots
-// 1 and 2 but leaves the top of slot 2 geometrically free. The manager
+// 1 and 2 but leaves the top of both geometrically free. The manager
 // must keep out of all three slots, and see slots 1 and 2 free again
 // once the engine releases the straddling resident.
 func TestSlot1DReservesSlotsOfEngineResidents(t *testing.T) {
-	region := fabric.Homogeneous(16, 8).FullRegion()
-	m := &Slot1D{SlotWidth: 4}
+	region := fabric.Homogeneous(4*slotWidth, 8).FullRegion()
+	m := &Slot1D{}
 	st, err := newState(region, m, fabric.DefaultFrameModel(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.sp.add(Resident{ID: 1, Module: clbModule("a", 4, 8), At: grid.Pt(0, 0)})
-	// x in [5, 11), y in [0, 4): slots 1 and 2.
-	st.sp.add(Resident{ID: 2, Module: clbModule("b", 6, 4), At: grid.Pt(5, 0)})
-	p, ok := m.TryPlace(&st.sp, clbModule("c", 4, 4))
+	st.sp.Add(Resident{ID: 1, Module: clbModule("a", slotWidth, 8), At: grid.Pt(0, 0)})
+	// x in [10, 22), y in [0, 4): slots 1 and 2.
+	st.sp.Add(Resident{ID: 2, Module: clbModule("b", 12, 4), At: grid.Pt(10, 0)})
+	p, ok := m.TryPlace(st.sp, clbModule("c", slotWidth, 4))
 	if !ok {
 		t.Fatal("free slot 3 not usable")
 	}
-	if p.At.X < 12 {
+	if p.At.X < 3*slotWidth {
 		t.Fatalf("placement %v landed in a reserved slot", p)
 	}
-	if _, ok := m.TryPlace(&st.sp, clbModule("d", 8, 4)); ok {
+	if _, ok := m.TryPlace(st.sp, clbModule("d", 2*slotWidth, 4)); ok {
 		t.Fatal("two-slot module placed with no two adjacent free slots")
 	}
 	st.Release(2)
-	if p, ok := m.TryPlace(&st.sp, clbModule("d", 8, 4)); !ok || p.At.X != 4 {
+	if p, ok := m.TryPlace(st.sp, clbModule("d", 2*slotWidth, 4)); !ok || p.At.X != slotWidth {
 		t.Fatalf("slots 1 and 2 not freed by the release: %v, %v", p, ok)
 	}
 }

@@ -7,18 +7,7 @@ import (
 	"repro/internal/grid"
 )
 
-// warmStart runs bottom-left-decreasing first-fit over the pruned
-// placement domains: objects in decreasing order of their cheapest
-// surviving alternative's tile count (stable on input order), each
-// taking the first candidate value in (y, x, shape) order that does
-// not collide with the occupancy painted so far. Operating on the
-// domains — rather than re-deriving anchors as internal/baseline does —
-// means region bounds, resource compatibility, bus-row attachment and
-// any root-level pruning are all honoured for free, so a completed
-// pass is a feasible placement by construction. Its height seeds the
-// branch-and-bound incumbent; failure to complete simply leaves the
-// search cold (WarmFound=false), never an error.
-// warmKeys orders objects for one first-fit pass: decreasing primary
+// warmOrder orders objects for one first-fit pass: decreasing primary
 // key with the object index as the deterministic tie-break.
 func warmOrder(objs []*geost.Object, key func(o *geost.Object) int) []int {
 	order := make([]int, len(objs))
@@ -31,6 +20,20 @@ func warmOrder(objs []*geost.Object, key func(o *geost.Object) int) []int {
 	return order
 }
 
+// warmStart runs decreasing-size first-fit over the pruned placement
+// domains, once per object ordering (cheapest surviving alternative's
+// tile count, tallest shape, widest shape; each stable on input order),
+// descends each completed pass and keeps the lowest. Each object takes
+// the first candidate value in (top, y, x, shape) order that does not
+// collide with the occupancy painted so far. Operating on the domains —
+// rather than re-deriving anchors as internal/baseline does — means
+// region bounds, resource compatibility, bus-row attachment and any
+// root-level pruning are all honoured for free, so a completed pass is
+// a feasible placement by construction. It does not use
+// online.Space.FirstFree because that scan orders by (y, x, shape) over
+// valid anchors, not by resulting top over pruned domain values. The
+// best height seeds the branch-and-bound incumbent; failure to complete
+// simply leaves the search cold (WarmFound=false), never an error.
 func warmStart(k *geost.Kernel, stats *Stats) {
 	objs := k.Objects()
 	keys := []func(o *geost.Object) int{

@@ -153,8 +153,9 @@ type SessionCreateRequest struct {
 	Fabric string `json:"fabric"`
 	// Region optionally windows the device.
 	Region *RectSpec `json:"region,omitempty"`
-	// Manager selects the greedy policy: "first-fit" (default),
-	// "mer-best-fit", or "occupied-space"/"adjacency".
+	// Manager selects the greedy policy: "first-fit" (default) or
+	// "mer-best-fit"; "occupied-space" and "adjacency" are aliases of
+	// first-fit.
 	Manager string `json:"manager,omitempty"`
 	// UseAlternatives lets the greedy policy pick among design
 	// alternatives.

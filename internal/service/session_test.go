@@ -67,6 +67,51 @@ func sessionPlace(t *testing.T, h http.Handler, id string, task int64, modJSON s
 	return resp, rr
 }
 
+// TestSessionOccupiedSpaceAliasesFirstFit checks that the retired
+// occupied-space policy names stay valid on the wire: a session created
+// as "occupied-space" or "adjacency" is accepted and places a stream,
+// releases included, exactly like a first-fit session.
+func TestSessionOccupiedSpaceAliasesFirstFit(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	twoShapes := `{"name":"bar","shapes":[` +
+		`{"tiles":[{"x":0,"y":0,"kind":"CLB"},{"x":0,"y":1,"kind":"CLB"},{"x":0,"y":2,"kind":"CLB"}]},` +
+		`{"tiles":[{"x":0,"y":0,"kind":"CLB"},{"x":1,"y":0,"kind":"CLB"},{"x":2,"y":0,"kind":"CLB"}]}]}`
+	mods := []string{clbModuleJSON("a", 5, 3), twoShapes, clbModuleJSON("b", 2, 6), clbModuleJSON("c", 7, 2), twoShapes, clbModuleJSON("d", 4, 4)}
+	trace := func(manager string) []SessionPlaceResponse {
+		id := createSession(t, h, `{"fabric":"spartan-like-24x16","region":{"x":0,"y":0,"w":12,"h":10},"useAlternatives":true,"manager":"`+manager+`"}`)
+		var out []SessionPlaceResponse
+		for i, m := range mods {
+			if i == 3 {
+				if rr := do(t, h, "DELETE", "/v1/sessions/"+id+"/modules/1", ""); rr.Code != http.StatusOK {
+					t.Fatalf("%s: release: status %d", manager, rr.Code)
+				}
+			}
+			resp, rr := sessionPlace(t, h, id, int64(i), m)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s: place %d: status %d body %s", manager, i, rr.Code, rr.Body)
+			}
+			resp.Session = ""
+			out = append(out, resp)
+		}
+		return out
+	}
+	want := trace("first-fit")
+	for i, r := range want {
+		if !r.Placed {
+			t.Fatalf("first-fit place %d rejected: %+v", i, r)
+		}
+	}
+	for _, alias := range []string{"occupied-space", "adjacency"} {
+		got := trace(alias)
+		for i := range want {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Errorf("%s place %d: got %+v, first-fit %+v", alias, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestSessionLifecycleAndDefrag is the end-to-end round trip the smoke
 // script mirrors: create a session, fragment it, defragment it over
 // HTTP — the moves must be priced and the fragmentation metric must
