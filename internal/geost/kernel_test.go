@@ -123,6 +123,12 @@ func TestAddObjectErrors(t *testing.T) {
 	if _, err := k.AddObject("empty", []ShapeGeom{g4}); err == nil {
 		t.Error("pointless shape accepted")
 	}
+	// A point outside the declared bounds.
+	g5 := rectGeom(2, 2, 4, 4)
+	g5.Points = append(g5.Points, grid.Pt(2, 0))
+	if _, err := k.AddObject("spill", []ShapeGeom{g5}); err == nil {
+		t.Error("shape with a point outside its bounds accepted")
+	}
 }
 
 func TestNewKernelPanics(t *testing.T) {
