@@ -103,7 +103,7 @@ type Options struct {
 	// differ from run to run, as with any anytime stop.
 	Workers int
 	// StrongPropagation adds geost compulsory-part pruning to the
-	// pairwise non-overlap: objects whose remaining placements share a
+	// non-overlap propagator: objects whose remaining placements share a
 	// guaranteed footprint prune their neighbours before being
 	// assigned. More pruning per node, fewer nodes.
 	StrongPropagation bool

@@ -8,7 +8,7 @@
 //
 //   - M_a (inside the region) and M_b (resource-type match) are fused
 //     into per-shape valid-anchor bitmaps computed by ValidAnchors;
-//   - M_c (non-overlap) is the geost kernel's pairwise filter;
+//   - M_c (non-overlap) is the geost kernel's forbidden-anchor filter;
 //   - the objective (eq. 6) is the geost occupied-height variable,
 //     minimised by branch-and-bound.
 package core
