@@ -1,6 +1,7 @@
 package geost
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/csp"
@@ -26,12 +27,16 @@ func TestCompulsoryRegionExact(t *testing.T) {
 	if comp == nil {
 		t.Fatal("no compulsory region")
 	}
-	if comp.Count() != 4 {
-		t.Fatalf("compulsory count = %d, want 4\n%s", comp.Count(), comp)
+	if len(comp.pts) != 4 || comp.w != 2 || comp.h != 2 {
+		t.Fatalf("compulsory region %+v, want the 4 cells of a 2x2 box", comp)
+	}
+	cells := map[grid.Point]bool{}
+	for _, p := range comp.pts {
+		cells[p.Add(grid.Pt(comp.x, comp.y))] = true
 	}
 	for _, p := range []grid.Point{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 1, Y: 2}, {X: 2, Y: 2}} {
-		if !comp.Get(p.X, p.Y) {
-			t.Fatalf("cell %v missing from compulsory region", p)
+		if !cells[p] {
+			t.Fatalf("cell %v missing from compulsory region %+v", p, comp)
 		}
 	}
 }
@@ -128,5 +133,65 @@ func TestCompulsorySameOptimaAsPlainNonOverlap(t *testing.T) {
 	}
 	if with, without := solve(true), solve(false); with != without {
 		t.Fatalf("compulsory pruning changed the optimum: %d vs %d", with, without)
+	}
+}
+
+// TestCompulsoryRegionMatchesBruteForce compares compulsoryRegion with
+// the cell-wise AND of every candidate footprint painted on the whole
+// space, for random polymorphic objects with holes restricted to
+// random small candidate sets.
+func TestCompulsoryRegionMatchesBruteForce(t *testing.T) {
+	const W, H = 12, 9
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 300; iter++ {
+		st := csp.NewStore()
+		k := New(st, W, H)
+		shapes := make([]ShapeGeom, 1+rng.Intn(3))
+		for i := range shapes {
+			shapes[i] = randomShape(rng, 5, 4, W, H)
+		}
+		o, err := k.AddObject("o", shapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := o.Place.Domain().Values()
+		keep := map[int]bool{}
+		for len(keep) < 2+rng.Intn(4) && len(keep) < len(all) {
+			// Cluster the candidates so their footprints tend to overlap.
+			v := all[rng.Intn(len(all))]
+			if _, x, y := o.Decode(v); x < 4 && y < 3 {
+				keep[v] = true
+			}
+		}
+		if len(keep) == 0 {
+			continue
+		}
+		if err := st.FilterDomain(o.Place, func(v int) bool { return keep[v] }); err != nil {
+			t.Fatal(err)
+		}
+		var want *grid.Bitmap
+		o.Place.Domain().ForEach(func(v int) bool {
+			sid, x, y := o.Decode(v)
+			cur := grid.NewBitmap(W, H)
+			cur.SetPointsAt(o.Shapes[sid].Points, grid.Pt(x, y), true)
+			if want == nil {
+				want = cur
+			} else {
+				want.And(cur)
+			}
+			return true
+		})
+		got := grid.NewBitmap(W, H)
+		if comp := compulsoryRegion(o); comp != nil {
+			got.SetPointsAt(comp.pts, grid.Pt(comp.x, comp.y), true)
+			for _, p := range comp.pts {
+				if p.X < 0 || p.X >= comp.w || p.Y < 0 || p.Y >= comp.h {
+					t.Fatalf("iter %d: point %v outside the %dx%d footprint box", iter, p, comp.w, comp.h)
+				}
+			}
+		}
+		if got.String() != want.String() {
+			t.Fatalf("iter %d: compulsory region\n%s\nbrute force\n%s", iter, got, want)
+		}
 	}
 }
